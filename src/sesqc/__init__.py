@@ -6,7 +6,6 @@ This package compiles arbitrary n x n unitaries, state preparations and
 observable measurements into at most a handful of standard-form pulses
 ``g_max * K`` and simulates them exactly.
 """
-from ._kernels import NUMBA_AVAILABLE, active_backend, set_backend, use_backend
 from .decompose import (
     ABADecomposition,
     KAKDecomposition,
@@ -96,7 +95,6 @@ __all__ = [
     "NonUniformWeights",
     "NotHermitian",
     "NotUnitary",
-    "NUMBA_AVAILABLE",
     "Observable",
     "OrthogonalityViolation",
     "PrepPlan",
@@ -105,7 +103,6 @@ __all__ = [
     "SESState",
     "SesqcError",
     "aba_decompose",
-    "active_backend",
     "compile_hamiltonian",
     "compile_symmetric_generator",
     "compile_unitary",
@@ -129,7 +126,6 @@ __all__ = [
     "run_schedule",
     "schedule_duration_ns",
     "schedule_unitary",
-    "set_backend",
     "simultaneous_diag",
     "spectral_decompose",
     "star_uniform_step",
@@ -138,5 +134,4 @@ __all__ = [
     "uniform_state",
     "uniform_weight_phases_step",
     "unitary_diagonalize",
-    "use_backend",
 ]

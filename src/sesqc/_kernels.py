@@ -1,57 +1,25 @@
 """Cyclic Jacobi eigensolver kernels.
 
-Two interchangeable backends compute the same rotation sequence:
-
-* ``numba`` — ``@njit``-compiled scalar loops (default when numba imports),
-* ``numpy`` — vectorised row/column updates, no compilation step.
-
-Select the fallback explicitly by exporting ``SESQC_PURE_NUMPY=1`` before
-import, or at runtime via :func:`set_backend` / :func:`use_backend`.  Both
-backends apply rotations in the same order with the same arithmetic, so
-their outputs agree to rounding error.
-
+Vectorised numpy row/column updates: each rotation updates two columns and
+two rows of the work array and two columns of the accumulated eigenvectors.
 The kernels leave eigenvalues unsorted on the work-array diagonal; ordering
 and sign conventions are applied by :mod:`sesqc.linalg`.
 """
 from __future__ import annotations
 
 import math
-import os
-from contextlib import contextmanager
 
 import numpy as np
 
 from .errors import ConvergenceError
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def wrap(func):
-            return func
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
 MAX_SWEEPS = 100
 
-_ENV_FLAG = "SESQC_PURE_NUMPY"
 
-
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _jacobi_real_numpy(a: np.ndarray, v: np.ndarray, max_sweeps: int, tol: float) -> int:
+def _sweep_real(a: np.ndarray, v: np.ndarray, tol: float) -> int:
     n = a.shape[0]
     iu = np.triu_indices(n, k=1)
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if n < 2 or np.max(np.abs(a[iu])) <= tol:
             return sweep
         for p in range(n - 1):
@@ -79,14 +47,14 @@ def _jacobi_real_numpy(a: np.ndarray, v: np.ndarray, max_sweeps: int, tol: float
                 v[:, p] = c * vcol_p - s * vcol_q
                 v[:, q] = s * vcol_p + c * vcol_q
     if n < 2 or np.max(np.abs(a[iu])) <= tol:
-        return max_sweeps
+        return MAX_SWEEPS
     return -1
 
 
-def _jacobi_herm_numpy(a: np.ndarray, v: np.ndarray, max_sweeps: int, tol: float) -> int:
+def _sweep_herm(a: np.ndarray, v: np.ndarray, tol: float) -> int:
     n = a.shape[0]
     iu = np.triu_indices(n, k=1)
-    for sweep in range(max_sweeps):
+    for sweep in range(MAX_SWEEPS):
         if n < 2 or np.max(np.abs(a[iu])) <= tol:
             return sweep
         for p in range(n - 1):
@@ -118,194 +86,37 @@ def _jacobi_herm_numpy(a: np.ndarray, v: np.ndarray, max_sweeps: int, tol: float
                 v[:, p] = c * vcol_p - spc * vcol_q
                 v[:, q] = sp * vcol_p + c * vcol_q
     if n < 2 or np.max(np.abs(a[iu])) <= tol:
-        return max_sweeps
+        return MAX_SWEEPS
     return -1
 
 
-# ---------------------------------------------------------------------------
-# numba backend: same rotation order, scalar loops
-# ---------------------------------------------------------------------------
-
-@njit(cache=True)
-def _offdiag_max_real(a):  # pragma: no cover - compiled
+def _diagonalise(a: np.ndarray, sweep) -> tuple[np.ndarray, np.ndarray]:
+    """Run ``sweep`` on the work array ``a`` in place; return ``(w, v)``."""
     n = a.shape[0]
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            x = abs(a[i, j])
-            if x > off:
-                off = x
-    return off
+    v = np.eye(n, dtype=a.dtype, order="C")
+    tol = 1e-13 * max(1.0, float(np.max(np.abs(a))) if n else 0.0)
+    if sweep(a, v, tol) < 0:
+        raise ConvergenceError(
+            f"Jacobi failed to converge in {MAX_SWEEPS} sweeps (n={n})"
+        )
+    return np.diagonal(a).real.copy(), v
 
 
-@njit(cache=True)
-def _jacobi_real_numba(a, v, max_sweeps, tol):  # pragma: no cover - compiled
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        if _offdiag_max_real(a) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - s * akq
-                    a[k, q] = s * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - s * aqk
-                    a[q, k] = s * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - s * vkq
-                    v[k, q] = s * vkp + c * vkq
-    if _offdiag_max_real(a) <= tol:
-        return max_sweeps
-    return -1
-
-
-@njit(cache=True)
-def _offdiag_max_herm(a):  # pragma: no cover - compiled
-    n = a.shape[0]
-    off = 0.0
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            x = abs(a[i, j])
-            if x > off:
-                off = x
-    return off
-
-
-@njit(cache=True)
-def _jacobi_herm_numba(a, v, max_sweeps, tol):  # pragma: no cover - compiled
-    n = a.shape[0]
-    for sweep in range(max_sweeps):
-        if _offdiag_max_herm(a) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * np.conj(phase)
-                for k in range(n):
-                    akp = a[k, p]
-                    akq = a[k, q]
-                    a[k, p] = c * akp - spc * akq
-                    a[k, q] = sp * akp + c * akq
-                for k in range(n):
-                    apk = a[p, k]
-                    aqk = a[q, k]
-                    a[p, k] = c * apk - sp * aqk
-                    a[q, k] = spc * apk + c * aqk
-                for k in range(n):
-                    vkp = v[k, p]
-                    vkq = v[k, q]
-                    v[k, p] = c * vkp - spc * vkq
-                    v[k, q] = sp * vkp + c * vkq
-    if _offdiag_max_herm(a) <= tol:
-        return max_sweeps
-    return -1
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _env_wants_numpy() -> bool:
-    return os.environ.get(_ENV_FLAG, "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-_BACKEND = "numba" if (NUMBA_AVAILABLE and not _env_wants_numpy()) else "numpy"
-
-
-def active_backend() -> str:
-    """Name of the backend currently used by the dispatchers."""
-    return _BACKEND
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend at runtime ("numba" or "numpy")."""
-    global _BACKEND
-    if name not in ("numba", "numpy"):
-        raise ValueError(f"unknown backend {name!r}")
-    if name == "numba" and not NUMBA_AVAILABLE:
-        raise ValueError("numba backend requested but numba is not importable")
-    _BACKEND = name
-
-
-@contextmanager
-def use_backend(name: str):
-    """Temporarily switch kernel backend."""
-    previous = _BACKEND
-    set_backend(name)
-    try:
-        yield
-    finally:
-        set_backend(previous)
-
-
-def _tolerance(scale: float) -> float:
-    return 1e-13 * max(1.0, scale)
-
-
-def jacobi_real(s: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_real(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise a real symmetric matrix by cyclic Jacobi rotations.
 
     Returns ``(w, v)`` with unsorted eigenvalues ``w`` and the accumulated
     rotation matrix ``v`` (columns are eigenvectors).  Raises
     :class:`ConvergenceError` if the off-diagonal maximum is still above
-    tolerance after ``max_sweeps`` full sweeps, which cannot happen for
+    tolerance after ``MAX_SWEEPS`` full sweeps, which cannot happen for
     finite symmetric input and therefore flags a defect.
     """
-    a = np.array(s, dtype=np.float64, order="C", copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.float64, order="C")
-    tol = _tolerance(float(np.max(np.abs(a))) if n else 0.0)
-    impl = _jacobi_real_numba if _BACKEND == "numba" else _jacobi_real_numpy
-    sweeps = impl(a, v, max_sweeps, tol)
-    if sweeps < 0:
-        raise ConvergenceError(
-            f"Jacobi failed to converge in {max_sweeps} sweeps (n={n})"
-        )
-    return np.diagonal(a).copy(), v
+    return _diagonalise(np.array(s, dtype=np.float64, order="C", copy=True), _sweep_real)
 
 
-def jacobi_herm(h: np.ndarray, max_sweeps: int = MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def jacobi_herm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise a complex Hermitian matrix by cyclic Jacobi rotations.
 
     Returns ``(w, v)`` with unsorted real eigenvalues and unitary ``v``.
     """
-    a = np.array(h, dtype=np.complex128, order="C", copy=True)
-    n = a.shape[0]
-    v = np.eye(n, dtype=np.complex128, order="C")
-    tol = _tolerance(float(np.max(np.abs(a))) if n else 0.0)
-    impl = _jacobi_herm_numba if _BACKEND == "numba" else _jacobi_herm_numpy
-    sweeps = impl(a, v, max_sweeps, tol)
-    if sweeps < 0:
-        raise ConvergenceError(
-            f"Jacobi failed to converge in {max_sweeps} sweeps (n={n})"
-        )
-    return np.diagonal(a).real.copy(), v
+    return _diagonalise(np.array(h, dtype=np.complex128, order="C", copy=True), _sweep_herm)

@@ -24,7 +24,6 @@ import time
 
 import numpy as np
 
-from . import _kernels
 from .decompose import aba_decompose, compile_unitary, schedule_unitary
 from .errors import (
     CommutatorViolation,
@@ -233,35 +232,23 @@ def cmd_bench_decompose(args) -> int:
         raise _CliError(2, f"--sizes must be comma-separated integers: {exc}") from exc
     if not sizes or min(sizes) < 2 or args.reps < 1:
         raise _CliError(2, "--sizes needs integers >= 2 and --reps >= 1")
-    backends = [_kernels.active_backend()]
-    if _kernels.active_backend() == "numba":
-        backends.append("numpy")
     rows = []
     for n in sizes:
         rng = np.random.default_rng(20_000 + n)
         targets = [random_unitary(n, rng) for _ in range(args.reps)]
-        timings = {}
-        for backend in backends:
-            with _kernels.use_backend(backend):
-                aba_decompose(targets[0])  # warm any pending JIT compile
-                start = time.perf_counter()
-                for u in targets:
-                    aba_decompose(u)
-                timings[backend] = (time.perf_counter() - start) / args.reps
-        rows.append({"n": n, **{f"seconds_{b}": timings[b] for b in backends}})
-    active = backends[0]
+        start = time.perf_counter()
+        for u in targets:
+            aba_decompose(u)
+        rows.append({"n": n, "seconds_numpy": (time.perf_counter() - start) / args.reps})
     exponent = None
     if len(sizes) >= 2:
         logs_n = np.log([row["n"] for row in rows])
-        logs_t = np.log([row[f"seconds_{active}"] for row in rows])
+        logs_t = np.log([row["seconds_numpy"] for row in rows])
         exponent = float(np.polyfit(logs_n, logs_t, 1)[0])
-    payload = {"backend": active, "rows": rows, "fit_exponent": exponent}
-    lines = []
-    for row in rows:
-        cols = "  ".join(f"{b}: {row[f'seconds_{b}'] * 1e3:9.3f} ms" for b in backends)
-        lines.append(f"n={row['n']:<5d} {cols}")
+    payload = {"backend": "numpy", "rows": rows, "fit_exponent": exponent}
+    lines = [f"n={row['n']:<5d} numpy: {row['seconds_numpy'] * 1e3:9.3f} ms" for row in rows]
     if exponent is not None:
-        lines.append(f"scaling fit ({active}): t ~ n^{exponent:.2f}")
+        lines.append(f"scaling fit (numpy): t ~ n^{exponent:.2f}")
     _emit(args, payload, lines)
     return 0
 

@@ -197,7 +197,8 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     Real symmetric Hamiltonians compile to a single pulse with generator
     ``t*H``.  Complex Hermitian ones reuse the KAK route with the phase
     diagonal taken directly as ``t`` times the spectrum of H, avoiding a
-    matrix logarithm (and any branch ambiguity) entirely.
+    matrix logarithm entirely; the phases are wrapped onto [-pi, pi] so
+    the pulse angles stay bounded however large ``t`` is.
     """
     device = device or DeviceParams()
     if not np.isfinite(t):
@@ -206,6 +207,9 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     n = hm.shape[0]
     v, spectrum = hermitian_eig(hm)
     lam = float(t) * spectrum
+    # Wrap onto the principal branch; numpy's exp reduces its argument
+    # exactly, where subtracting multiples of float(2*pi) would not.
+    lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
     target = (v * np.exp(-1j * lam)) @ v.conj().T
     if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL:
         steps = [compile_symmetric_generator(float(t) * hm.real, device, label="hamiltonian")]

@@ -31,6 +31,15 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_number(x) -> bool:
+    """JSON number test; ``bool`` subclasses ``int`` but ``true``/``false`` are not numbers."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _is_size(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool) and n >= 1
+
+
 def _pairs_to_complex(rows, expect_len: int, what: str) -> np.ndarray:
     out = np.empty(len(rows), dtype=np.complex128)
     _require(len(rows) == expect_len, f"{what}: expected {expect_len} entries, got {len(rows)}")
@@ -41,7 +50,7 @@ def _pairs_to_complex(rows, expect_len: int, what: str) -> np.ndarray:
         )
         re, im = pair
         _require(
-            isinstance(re, (int, float)) and isinstance(im, (int, float)),
+            _is_number(re) and _is_number(im),
             f"{what}[{i}] must hold two numbers",
         )
         out[i] = complex(re, im)
@@ -60,7 +69,7 @@ def matrix_from_obj(obj) -> np.ndarray:
     _require(isinstance(obj, dict), "matrix document must be a JSON object")
     _require("n" in obj and "entries" in obj, "matrix document needs 'n' and 'entries'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(_is_size(n), "'n' must be a positive integer")
     rows = obj["entries"]
     _require(isinstance(rows, list) and len(rows) == n, f"'entries' must hold {n} rows")
     out = np.empty((n, n), dtype=np.complex128)
@@ -82,7 +91,7 @@ def state_from_obj(obj) -> np.ndarray:
     _require(isinstance(obj, dict), "state document must be a JSON object")
     _require("n" in obj and "amplitudes" in obj, "state document needs 'n' and 'amplitudes'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(_is_size(n), "'n' must be a positive integer")
     amps = obj["amplitudes"]
     _require(isinstance(amps, list), "'amplitudes' must be a list")
     return _pairs_to_complex(amps, n, "amplitudes")
@@ -114,9 +123,9 @@ def schedule_from_obj(obj) -> PulseSchedule:
     for key in ("n", "g_max_mhz_over_2pi", "steps", "total_theta", "duration_ns"):
         _require(key in obj, f"schedule document needs '{key}'")
     n = obj["n"]
-    _require(isinstance(n, int) and n >= 1, "'n' must be a positive integer")
+    _require(_is_size(n), "'n' must be a positive integer")
     gmax = obj["g_max_mhz_over_2pi"]
-    _require(isinstance(gmax, (int, float)) and gmax > 0, "'g_max_mhz_over_2pi' must be positive")
+    _require(_is_number(gmax) and gmax > 0, "'g_max_mhz_over_2pi' must be positive")
     device = DeviceParams(g_max_mhz_over_2pi=float(gmax))
     steps = []
     _require(isinstance(obj["steps"], list), "'steps' must be a list")

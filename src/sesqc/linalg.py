@@ -89,27 +89,27 @@ def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def symmetric_eig(s, max_sweeps: int = _kernels.MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a real symmetric matrix: ``S == Q @ diag(lam) @ Q.T``.
 
     Returns ``(Q, lam)`` with eigenvalues ascending and deterministic
     column signs.
     """
     s2 = require_real_symmetric(s, name="S")
-    w, v = _kernels.jacobi_real(s2, max_sweeps)
+    w, v = _kernels.jacobi_real(s2)
     order = np.argsort(w, kind="stable")
     q = _fix_column_signs(v[:, order])
     return q, w[order]
 
 
-def hermitian_eig(h, tol: float = HERMITIAN_TOL, max_sweeps: int = _kernels.MAX_SWEEPS) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a Hermitian matrix: ``H == V @ diag(w) @ V.conj().T``.
 
     Returns ``(V, w)`` with eigenvalues ascending and each column phased so
     its largest-magnitude entry is real positive.
     """
-    h2 = require_hermitian(h, tol, name="H")
-    w, v = _kernels.jacobi_herm(h2, max_sweeps)
+    h2 = require_hermitian(h, name="H")
+    w, v = _kernels.jacobi_herm(h2)
     order = np.argsort(w, kind="stable")
     v = _fix_column_signs(v[:, order])
     return v, w[order]

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DecompositionError, DimensionMismatch
 from .linalg import max_abs, require_real_symmetric
 
 ZERO_ANGLE_TOL = 1e-12
@@ -121,7 +121,9 @@ def compile_symmetric_generator(a, device: DeviceParams | None = None, label: st
         return PulseStep(k=np.zeros((n, n)), theta=0.0, label=label)
     k = (am - c * np.eye(n)) / theta
     step = PulseStep(k=k, theta=theta, label=label)
-    assert abs(max_abs(step.k) - 1.0) <= 1e-12, "compiled K must saturate |K|=1"
+    peak = max_abs(step.k)
+    if abs(peak - 1.0) > 1e-12:
+        raise DecompositionError(f"compiled K has max|K| = {peak!r}, not the saturated 1")
     return step
 
 

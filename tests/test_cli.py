@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import golden
+import sesqc.pulses
 from sesqc.cli import main
 from sesqc.formats import load_schedule, save_matrix, save_state
 from sesqc.linalg import global_phase_fidelity, random_unitary
@@ -87,6 +88,22 @@ def test_compile_rejects_bad_json(tmp_path, capsys):
     path.write_text("{not json")
     code, _, _ = run_cli(capsys, "compile", str(path))
     assert code == 2
+
+
+def test_compile_rejects_boolean_entries(tmp_path, capsys):
+    path = tmp_path / "bool.json"
+    path.write_text('{"n": 1, "entries": [[[true, false]]]}')
+    code, _, _ = run_cli(capsys, "compile", str(path), "--out", str(tmp_path / "s.json"))
+    assert code == 2
+
+
+def test_compile_unsaturated_pulse_exits_4(tmp_path, capsys, monkeypatch):
+    true_angle = sesqc.pulses.rotation_angle
+    monkeypatch.setattr(sesqc.pulses, "rotation_angle", lambda a, c: 2.0 * true_angle(a, c))
+    out = tmp_path / "s.json"
+    code, _, err = run_cli(capsys, "compile", str(write_unitary(tmp_path)), "--out", str(out))
+    assert code == 4
+    assert "error" in err
 
 
 def test_compile_missing_file(tmp_path, capsys):
@@ -283,7 +300,7 @@ def test_bench_decompose_reports(capsys):
     )
     assert code == 0
     payload = json.loads(stdout)
-    assert payload["backend"] in ("numba", "numpy")
+    assert payload["backend"] == "numpy"
     assert [row["n"] for row in payload["rows"]] == [4, 8]
     assert payload["fit_exponent"] is not None
 

@@ -15,6 +15,7 @@ from sesqc.errors import NotHermitian, NotUnitary
 from sesqc.linalg import (
     expm_generator,
     global_phase_fidelity,
+    hermitian_eig,
     max_abs,
     random_unitary,
 )
@@ -236,6 +237,24 @@ def test_compile_hamiltonian_complex(t):
     assert len(schedule.steps) == 3
     target = expm_series(-1j * t * h)
     assert global_phase_fidelity(schedule_unitary(schedule), target) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("t", [0.0, 1e-12, 1.0, 1e3, 1e9, 1e12])
+def test_compile_hamiltonian_angle_bounded_in_t(t):
+    """Phases t*lambda are wrapped, so the angle does not grow with t.
+
+    The target is built from the same spectrum the compiler uses: at
+    t = 1e12 a 1e-15 relative change of an eigenvalue moves its phase by
+    1e-3 rad, so a target from another eigensolver would not be comparable.
+    """
+    rng = np.random.default_rng(802)
+    h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+    h = (h + h.conj().T) / 2
+    v, w = hermitian_eig(h)
+    target = (v * np.exp(-1j * t * w)) @ v.conj().T
+    schedule = compile_hamiltonian(h, t=t)
+    assert global_phase_fidelity(schedule_unitary(schedule), target) >= 1 - 1e-8
+    assert schedule.total_angle <= 3 * np.pi
 
 
 def test_compile_hamiltonian_rejects_nonhermitian():

@@ -107,6 +107,11 @@ def test_matrix_from_obj_rejects_malformed():
         matrix_from_obj({"n": 1, "entries": [[[0.0]]]})  # entry not a pair
     with pytest.raises(ValueError):
         matrix_from_obj({"n": 0, "entries": []})
+    # bool subclasses int, but JSON true/false are not numbers
+    with pytest.raises(ValueError):
+        matrix_from_obj({"n": 1, "entries": [[[True, False]]]})
+    with pytest.raises(ValueError):
+        matrix_from_obj({"n": True, "entries": [[[1.0, 0.0]]]})
 
 
 def test_state_from_obj_rejects_malformed():
@@ -116,6 +121,10 @@ def test_state_from_obj_rejects_malformed():
         state_from_obj({"amplitudes": [[1.0, 0.0]]})
     with pytest.raises(ValueError):
         state_from_obj({"n": 1, "amplitudes": [["x", 0.0]]})
+    with pytest.raises(ValueError):
+        state_from_obj({"n": True, "amplitudes": [[1, 0]]})
+    with pytest.raises(ValueError):
+        state_from_obj({"n": 1, "amplitudes": [[1.0, False]]})
 
 
 def test_schedule_from_obj_rejects_bad_steps():
@@ -155,6 +164,13 @@ def test_schedule_from_obj_checks_consistency():
     doc["g_max_mhz_over_2pi"] = -5.0
     with pytest.raises(ValueError):
         schedule_from_obj(doc)
+
+    # an empty schedule is consistent for any n and g_max, so only the
+    # type checks can reject JSON true here
+    empty = schedule_to_obj(PulseSchedule(n=1, steps=(), device=DeviceParams()))
+    for key in ("n", "g_max_mhz_over_2pi"):
+        with pytest.raises(ValueError):
+            schedule_from_obj(dict(empty, **{key: True}))
 
 
 def test_empty_schedule_round_trips():

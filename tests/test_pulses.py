@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import golden
-from sesqc.errors import DimensionMismatch, NotHermitian
+import sesqc.pulses
+from sesqc.errors import DecompositionError, DimensionMismatch, NotHermitian
 from sesqc.linalg import max_abs
 from sesqc.pulses import (
     DEFAULT_GMAX_MHZ,
@@ -99,6 +100,14 @@ def test_compiled_step_saturates():
         a = (a + a.T) / 2
         step = compile_symmetric_generator(a)
         assert max_abs(step.k) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_unsaturated_k_raises_decomposition_error(monkeypatch):
+    true_angle = sesqc.pulses.rotation_angle
+    monkeypatch.setattr(sesqc.pulses, "rotation_angle", lambda a, c: 2.0 * true_angle(a, c))
+    a = np.array([[0.0, 1.0], [1.0, 0.0]])
+    with pytest.raises(DecompositionError):
+        compile_symmetric_generator(a)
 
 
 def test_compiled_step_reproduces_generator():
