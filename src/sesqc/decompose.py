@@ -116,6 +116,13 @@ def _kak_generators(v: np.ndarray, lam: np.ndarray) -> tuple[np.ndarray, np.ndar
     return (a + a.T) / 2.0, (b + b.T) / 2.0
 
 
+def _aba_generators(um: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unchecked (A, B) of :func:`aba_decompose` for a validated unitary."""
+    v, lam = unitary_diagonalize(um)
+    lam = lam - 2.0 * np.pi * (lam > 0)
+    return _kak_generators(v, lam)
+
+
 def aba_decompose(u) -> ABADecomposition:
     """Find real symmetric generators A, B with ``U = e^{-iA} e^{-iB} e^{iA}``.
 
@@ -127,10 +134,7 @@ def aba_decompose(u) -> ABADecomposition:
     semidefinite.
     """
     um = require_unitary(u, name="U")
-    v, lam = unitary_diagonalize(um)
-    lam = lam - 2.0 * np.pi * (lam > 0)
-    a, b = _kak_generators(v, lam)
-    aba = ABADecomposition(a=a, b=b)
+    aba = ABADecomposition(*_aba_generators(um))
     fidelity = global_phase_fidelity(aba.reconstruct(), um)
     if fidelity < MIN_COMPILE_FIDELITY:
         raise DecompositionError(
@@ -160,10 +164,18 @@ def _aba_steps(a: np.ndarray, b: np.ndarray, device: DeviceParams) -> list[Pulse
 
 def schedule_unitary(schedule: PulseSchedule) -> np.ndarray:
     """Net operator of a schedule: product of step unitaries, steps[0] first."""
-    u = np.eye(schedule.n, dtype=np.complex128)
-    for step in schedule.steps:
-        u = expm_generator(step.theta, step.k) @ u
-    return u
+    return schedule.unitary
+
+
+def _verified_schedule(steps, target: np.ndarray, device: DeviceParams) -> PulseSchedule:
+    """Schedule of ``steps``, checked against ``target`` to fidelity 1 - 1e-8."""
+    schedule = PulseSchedule(n=target.shape[0], steps=tuple(steps), device=device)
+    fidelity = global_phase_fidelity(schedule.unitary, target)
+    if fidelity < MIN_COMPILE_FIDELITY:
+        raise DecompositionError(
+            f"compiled schedule fidelity {fidelity!r} below {MIN_COMPILE_FIDELITY}"
+        )
+    return schedule
 
 
 def compile_unitary(u, device: DeviceParams | None = None) -> PulseSchedule:
@@ -176,35 +188,26 @@ def compile_unitary(u, device: DeviceParams | None = None) -> PulseSchedule:
     """
     device = device or DeviceParams()
     um = require_unitary(u, name="U")
-    n = um.shape[0]
     if max_abs(um - um.T) <= SYMMETRIC_SHORTCUT_TOL:
         steps = [compile_symmetric_generator(_symmetric_log_generator(um), device, label="symmetric")]
     else:
-        aba = aba_decompose(um)
-        steps = _aba_steps(aba.a, aba.b, device)
-    schedule = PulseSchedule(n=n, steps=tuple(steps), device=device)
-    fidelity = global_phase_fidelity(schedule_unitary(schedule), um)
-    if fidelity < MIN_COMPILE_FIDELITY:
-        raise DecompositionError(
-            f"compiled schedule fidelity {fidelity!r} below {MIN_COMPILE_FIDELITY}"
-        )
-    return schedule
+        steps = _aba_steps(*_aba_generators(um), device)
+    return _verified_schedule(steps, um, device)
 
 
 def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> PulseSchedule:
     """Compile the evolution ``exp(-1j*H*t)`` of a Hermitian H.
 
-    Real symmetric Hamiltonians compile to a single pulse with generator
-    ``t*H``.  Complex Hermitian ones reuse the KAK route with the phase
-    diagonal taken directly as ``t`` times the spectrum of H, avoiding a
-    matrix logarithm entirely; the phases are wrapped onto [-pi, pi] so
-    the pulse angles stay bounded however large ``t`` is.
+    The phases ``t`` times the spectrum of H are wrapped onto [-pi, pi],
+    so the pulse angles stay bounded however large ``t`` is, and no matrix
+    logarithm is needed.  Real symmetric Hamiltonians compile to a single
+    pulse with the real generator ``V diag(phases) V†``; complex Hermitian
+    ones reuse the KAK route with those phases as the diagonal.
     """
     device = device or DeviceParams()
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     hm = require_hermitian(h, name="H")
-    n = hm.shape[0]
     v, spectrum = hermitian_eig(hm)
     lam = float(t) * spectrum
     # Wrap onto the principal branch; numpy's exp reduces its argument
@@ -212,14 +215,8 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
     target = (v * np.exp(-1j * lam)) @ v.conj().T
     if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL:
-        steps = [compile_symmetric_generator(float(t) * hm.real, device, label="hamiltonian")]
+        g = ((v * lam) @ v.conj().T).real
+        steps = [compile_symmetric_generator((g + g.T) / 2.0, device, label="hamiltonian")]
     else:
-        a, b = _kak_generators(v, lam)
-        steps = _aba_steps(a, b, device)
-    schedule = PulseSchedule(n=n, steps=tuple(steps), device=device)
-    fidelity = global_phase_fidelity(schedule_unitary(schedule), target)
-    if fidelity < MIN_COMPILE_FIDELITY:
-        raise DecompositionError(
-            f"Hamiltonian schedule fidelity {fidelity!r} below {MIN_COMPILE_FIDELITY}"
-        )
-    return schedule
+        steps = _aba_steps(*_kak_generators(v, lam), device)
+    return _verified_schedule(steps, target, device)

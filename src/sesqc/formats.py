@@ -136,9 +136,10 @@ def schedule_from_obj(obj) -> PulseSchedule:
         k_rows = raw["K"]
         _require(
             isinstance(k_rows, list) and len(k_rows) == n
-            and all(isinstance(r, list) and len(r) == n for r in k_rows),
+            and all(isinstance(r, list) and len(r) == n and all(map(_is_number, r)) for r in k_rows),
             f"step {idx}: K must be an {n}x{n} array of numbers",
         )
+        _require(_is_number(raw["theta"]), f"step {idx}: 'theta' must be a number")
         try:
             steps.append(
                 PulseStep(
@@ -164,7 +165,7 @@ def schedule_from_obj(obj) -> PulseSchedule:
 
 
 def save_json(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2) + "\n")
+    Path(path).write_text(json.dumps(obj, separators=(",", ":")) + "\n")
 
 
 def load_json(path) -> dict:

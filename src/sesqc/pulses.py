@@ -10,11 +10,12 @@ remaining entry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DecompositionError, DimensionMismatch
-from .linalg import max_abs, require_real_symmetric
+from .linalg import expm_generator, max_abs, require_real_symmetric
 
 ZERO_ANGLE_TOL = 1e-12
 K_RANGE_SLACK = 1e-9
@@ -76,6 +77,18 @@ class PulseSchedule:
                 raise DimensionMismatch(
                     f"step {step.label!r} is {step.n}-dimensional, schedule is {self.n}"
                 )
+
+    @cached_property
+    def unitary(self) -> np.ndarray:
+        """Net operator, the product of step unitaries with ``steps[0]`` first.
+
+        Formed once per schedule and returned read-only.
+        """
+        u = np.eye(self.n, dtype=np.complex128)
+        for step in self.steps:
+            u = expm_generator(step.theta, step.k) @ u
+        u.flags.writeable = False
+        return u
 
     @property
     def total_angle(self) -> float:

@@ -1,8 +1,8 @@
 """Exact schedule execution and projective measurement.
 
-Each pulse step is exponentiated through its eigendecomposition, so there
-is no time-stepping error: evolution is exact up to rounding.  Schedules
-run in list order — ``steps[0]`` hits the state first.  Measurement in the
+A schedule acts through its net unitary U, the product of its exactly
+exponentiated pulses, so evolution has no time-stepping error: ``U psi``
+for a pure state, ``U rho U†`` for a density matrix.  Measurement in the
 qubit basis is multinomial sampling from the occupation probabilities with
 a seeded, named RNG.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix
-from .linalg import expm_generator, hermitian_eig, max_abs
+from .linalg import hermitian_eig, max_abs
 from .pulses import PulseSchedule, PulseStep
 from .stateprep import SESState
 
@@ -87,29 +87,23 @@ def occupations(state: SESState | DensityMatrixState) -> np.ndarray:
 
 
 def evolve_pure(state: SESState, step: PulseStep) -> SESState:
-    if step.n != state.n:
-        raise DimensionMismatch(f"step is {step.n}-dimensional, state is {state.n}")
-    u = expm_generator(step.theta, step.k)
-    return SESState(u @ state.amplitudes)
+    return run_schedule(state, PulseSchedule(n=step.n, steps=(step,)))
 
 
 def evolve_density(rho: DensityMatrixState, step: PulseStep) -> DensityMatrixState:
-    if step.n != rho.n:
-        raise DimensionMismatch(f"step is {step.n}-dimensional, state is {rho.n}")
-    u = expm_generator(step.theta, step.k)
-    return DensityMatrixState(u @ rho.matrix @ u.conj().T)
+    return run_schedule(rho, PulseSchedule(n=step.n, steps=(step,)))
 
 
 def run_schedule(state: SESState | DensityMatrixState, schedule: PulseSchedule):
-    """Apply every step of a schedule in order (``steps[0]`` first)."""
+    """Apply a schedule's net unitary: ``U psi`` or ``U rho U†``."""
     if not isinstance(state, (SESState, DensityMatrixState)):
         raise TypeError(f"cannot evolve {type(state).__name__}")
     if schedule.n != state.n:
         raise DimensionMismatch(f"schedule is {schedule.n}-dimensional, state is {state.n}")
-    evolve = evolve_pure if isinstance(state, SESState) else evolve_density
-    for step in schedule.steps:
-        state = evolve(state, step)
-    return state
+    u = schedule.unitary
+    if isinstance(state, SESState):
+        return SESState(u @ state.amplitudes)
+    return DensityMatrixState(u @ state.matrix @ u.conj().T)
 
 
 def measure(state: SESState | DensityMatrixState, shots: int, seed: int | None = None) -> MeasurementRecord:

@@ -6,8 +6,8 @@ partial-swap pulse per move) drains weight into exactly 1/n per component,
 and one final diagonal pulse removes the residual phases, reaching the
 uniform superposition.  Running the daggered sequence after a single
 "star" pulse (which maps |1) to the uniform superposition) prepares the
-target.  The whole sequence collapses to three pulses via
-:func:`sesqc.decompose.aba_decompose`.
+target.  Its net unitary can be recompiled into three pulses through the
+ABA generators of :mod:`sesqc.decompose`.
 
 Basis states are indexed 0..n-1 in code; |1) is index 0.
 """
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decompose import _aba_steps, aba_decompose
+from .decompose import _aba_generators, _aba_steps
 from .errors import (
     AlreadyUniform,
     DecompositionError,
@@ -25,7 +25,6 @@ from .errors import (
     NonUniformWeights,
     SesqcError,
 )
-from .linalg import expm_generator
 from .pulses import DeviceParams, PulseSchedule, PulseStep
 
 NORM_TOL = 1e-10
@@ -108,7 +107,7 @@ def _dagger(step: PulseStep) -> PulseStep:
     return PulseStep(k=-np.asarray(step.k), theta=step.theta, label=step.label + "_dagger")
 
 
-def star_uniform_step(n: int, device: DeviceParams | None = None) -> PulseStep:
+def star_uniform_step(n: int) -> PulseStep:
     """Pulse taking |1) to the uniform superposition (up to a global phase).
 
     The coupling matrix is the star graph on qubit 1 with K_11 = 1 and
@@ -123,7 +122,7 @@ def star_uniform_step(n: int, device: DeviceParams | None = None) -> PulseStep:
     return PulseStep(k=k, theta=np.pi / np.sqrt(n), label="star")
 
 
-def uniform_weight_phases_step(target: SESState, device: DeviceParams | None = None) -> PulseStep:
+def uniform_weight_phases_step(target: SESState) -> PulseStep:
     """Diagonal pulse taking the uniform superposition to a uniform-weight target."""
     n = target.n
     dev = np.max(np.abs(target.weights - 1.0 / n))
@@ -133,7 +132,7 @@ def uniform_weight_phases_step(target: SESState, device: DeviceParams | None = N
     return PulseStep(k=k, theta=TWO_PI, label="phase_diag")
 
 
-def reduction_step(state: SESState, device: DeviceParams | None = None) -> tuple[PulseStep, PulseStep, SESState]:
+def reduction_step(state: SESState) -> tuple[PulseStep, PulseStep, SESState]:
     """One inverse-protocol move: pin the lightest component to weight 1/n.
 
     Picks i_min/i_max as the lowest-index lightest/heaviest components, makes
@@ -179,7 +178,7 @@ def reduction_step(state: SESState, device: DeviceParams | None = None) -> tuple
     return u_diag, u_swap, SESState(amps)
 
 
-def reduce_to_uniform(target: SESState, device: DeviceParams | None = None) -> tuple[list[tuple[PulseStep, PulseStep]], PulseStep]:
+def reduce_to_uniform(target: SESState) -> tuple[list[tuple[PulseStep, PulseStep]], PulseStep]:
     """Drive ``target`` to the uniform superposition.
 
     Returns the ordered reduction pairs (at most n-1 of them) and the final
@@ -193,7 +192,7 @@ def reduce_to_uniform(target: SESState, device: DeviceParams | None = None) -> t
             raise IterationOverflow(
                 f"reduction did not reach uniform weights in {n - 1} moves"
             )
-        u_diag, u_swap, state = reduction_step(state, device)
+        u_diag, u_swap, state = reduction_step(state)
         pairs.append((u_diag, u_swap))
     w_diag = PulseStep(k=np.diag(state.phases / TWO_PI), theta=TWO_PI, label="w_diag")
     return pairs, w_diag
@@ -212,32 +211,19 @@ def _as_state(target) -> SESState:
     return target if isinstance(target, SESState) else SESState(np.asarray(target, dtype=np.complex128))
 
 
-def _build_plan(target: SESState, device: DeviceParams | None) -> tuple[PrepPlan, list[PulseStep]]:
-    star = star_uniform_step(target.n, device)
-    pairs, w_diag = reduce_to_uniform(target, device)
-    steps = _linear_steps(star, pairs, w_diag)
-    u = np.eye(target.n, dtype=np.complex128)
-    for step in steps:
-        u = expm_generator(step.theta, step.k) @ u
-    overlap = abs(np.vdot(target.amplitudes, u[:, 0]))
-    if overlap < 1.0 - 1e-9:
-        raise DecompositionError(
-            f"compiled first column overlaps target only {overlap!r}"
-        )
-    plan = PrepPlan(
-        star_step=star,
-        reduction_steps=tuple(pairs),
-        w_diag=w_diag,
-        m=len(pairs),
-        compiled_u=u,
-    )
-    return plan, steps
+def _build_plan(target: SESState, device: DeviceParams) -> tuple[PrepPlan, PulseSchedule]:
+    """The linear protocol for ``target``, unchecked, and its plan."""
+    star = star_uniform_step(target.n)
+    pairs, w_diag = reduce_to_uniform(target)
+    schedule = PulseSchedule(n=target.n, steps=tuple(_linear_steps(star, pairs, w_diag)), device=device)
+    plan = PrepPlan(star_step=star, reduction_steps=tuple(pairs), w_diag=w_diag,
+                    m=len(pairs), compiled_u=schedule.unitary)
+    return plan, schedule
 
 
-def compiled_prep_unitary(target, device: DeviceParams | None = None) -> np.ndarray:
+def compiled_prep_unitary(target) -> np.ndarray:
     """Net unitary of the linear protocol; its first column is the target."""
-    plan, _ = _build_plan(_as_state(target), device)
-    return plan.compiled_u
+    return prepare_state_schedule(target, mode="linear")[1].compiled_u
 
 
 def prepare_state_schedule(target, device: DeviceParams | None = None, mode: str = "linear") -> tuple[PulseSchedule, PrepPlan]:
@@ -246,17 +232,22 @@ def prepare_state_schedule(target, device: DeviceParams | None = None, mode: str
     ``mode="linear"`` emits the explicit 2m+2 pulse protocol; to keep the
     number of pulses independent of n, ``mode="three_step"`` collapses the
     protocol's net unitary into exactly three pulses via the ABA form.
+    Either way the emitted schedule's first column must overlap the target
+    to 1 - 1e-9, else :class:`DecompositionError` is raised.
     """
     state = _as_state(target)
     if state.n < 2:
         raise ValueError("state preparation needs n >= 2")
     device = device or DeviceParams()
-    plan, linear = _build_plan(state, device)
-    if mode == "linear":
-        steps = linear
-    elif mode == "three_step":
-        aba = aba_decompose(plan.compiled_u)
-        steps = _aba_steps(aba.a, aba.b, device)
-    else:
+    plan, schedule = _build_plan(state, device)
+    if mode == "three_step":
+        steps = _aba_steps(*_aba_generators(plan.compiled_u), device)
+        schedule = PulseSchedule(n=state.n, steps=tuple(steps), device=device)
+    elif mode != "linear":
         raise ValueError(f"unknown mode {mode!r}; expected 'linear' or 'three_step'")
-    return PulseSchedule(n=state.n, steps=tuple(steps), device=device), plan
+    overlap = abs(np.vdot(state.amplitudes, schedule.unitary[:, 0]))
+    if overlap < 1.0 - 1e-9:
+        raise DecompositionError(
+            f"compiled first column overlaps target only {overlap!r}"
+        )
+    return schedule, plan

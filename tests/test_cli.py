@@ -106,6 +106,14 @@ def test_compile_unsaturated_pulse_exits_4(tmp_path, capsys, monkeypatch):
     assert "error" in err
 
 
+def test_compile_counts_eigensolves(tmp_path, capsys, eig_calls):
+    """Two for the ABA generators, one per exponentiated pulse, no re-check."""
+    u_path = write_unitary(tmp_path, n=5)
+    code, _, _ = run_cli(capsys, "compile", str(u_path), "--out", str(tmp_path / "s.json"))
+    assert code == 0
+    assert sum(eig_calls.values()) == 5
+
+
 def test_compile_missing_file(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "compile", str(tmp_path / "absent.json"))
     assert code == 2
@@ -128,6 +136,16 @@ def test_prepare_reference_target(tmp_path, capsys, mode):
     assert payload["reduction_moves"] == golden.M_MOVES
     expected_steps = 3 if mode == "three-step" else 2 * golden.M_MOVES + 2
     assert payload["steps"] == expected_steps
+
+
+def test_prepare_linear_counts_eigensolves(tmp_path, capsys, eig_calls):
+    """Each of the 2m+2 pulses is exponentiated once, for check and report alike."""
+    out = tmp_path / "prep.json"
+    code, stdout, _ = run_cli(
+        capsys, "prepare", str(write_target(tmp_path)), "--mode", "linear", "--out", str(out), "--json"
+    )
+    assert code == 0
+    assert sum(eig_calls.values()) == 2 * json.loads(stdout)["reduction_moves"] + 2
 
 
 def test_prepare_rejects_unnormalized_state(tmp_path, capsys):
@@ -153,6 +171,18 @@ def test_prepare_then_simulate_reaches_target(tmp_path, capsys):
     fidelity = abs(np.vdot(golden.normalized_target(), amps)) ** 2
     assert fidelity >= 1 - 1e-8
     assert payload["counts"] is None
+
+
+def test_simulate_rejects_boolean_theta(tmp_path, capsys):
+    sched_path = tmp_path / "s.json"
+    sched_path.write_text(json.dumps({
+        "n": 1, "g_max_mhz_over_2pi": 50.0,
+        "steps": [{"label": "", "theta": True, "K": [[True]]}],
+        "total_theta": 1.0, "duration_ns": 1.0 / (2 * np.pi * 0.05),
+    }))
+    code, _, err = run_cli(capsys, "simulate", str(sched_path))
+    assert code == 2
+    assert "theta" in err or "K" in err
 
 
 def test_simulate_accepts_state_file_initial(tmp_path, capsys):

@@ -249,12 +249,17 @@ def test_compile_hamiltonian_angle_bounded_in_t(t):
     """
     rng = np.random.default_rng(802)
     h = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    h = (h + h.conj().T) / 2
-    v, w = hermitian_eig(h)
-    target = (v * np.exp(-1j * t * w)) @ v.conj().T
-    schedule = compile_hamiltonian(h, t=t)
-    assert global_phase_fidelity(schedule_unitary(schedule), target) >= 1 - 1e-8
-    assert schedule.total_angle <= 3 * np.pi
+    real = rng.normal(size=(6, 6))
+    # a real H compiles to one pulse whose generator has spectrum in [-pi, pi]
+    for h, steps, bound in (((h + h.conj().T) / 2, 3, 3 * np.pi), ((real + real.T) / 2, 1, np.pi)):
+        v, w = hermitian_eig(h)
+        target = (v * np.exp(-1j * t * w)) @ v.conj().T
+        schedule = compile_hamiltonian(h, t=t)
+        assert len(schedule.steps) == steps
+        assert global_phase_fidelity(schedule_unitary(schedule), target) >= 1 - 1e-8
+        assert schedule.total_angle <= bound
+        if t == 0.0 and steps == 1:
+            assert schedule.total_angle == 0.0
 
 
 def test_compile_hamiltonian_rejects_nonhermitian():

@@ -172,6 +172,17 @@ def test_schedule_from_obj_checks_consistency():
         with pytest.raises(ValueError):
             schedule_from_obj(dict(empty, **{key: True}))
 
+    # a step of theta 1 and K = [[1]] is consistent with its totals, so JSON
+    # true or numeric strings in its place are rejected by type alone
+    one = schedule_to_obj(PulseSchedule(n=1, steps=(PulseStep(k=np.ones((1, 1)), theta=1.0),)))
+    schedule_from_obj(one)
+    for theta, k in ((True, [[True]]), (True, [[1.0]]), (1.0, [[True]]),
+                     ("1.0", [[1.0]]), (1.0, [["1.0"]]), ("1.0", [["0.5"]])):
+        doc = json.loads(json.dumps(one))
+        doc["steps"][0].update(theta=theta, K=k)
+        with pytest.raises(ValueError):
+            schedule_from_obj(doc)
+
 
 def test_empty_schedule_round_trips():
     schedule = PulseSchedule(n=3, steps=(), device=DeviceParams())

@@ -119,6 +119,23 @@ def test_protocol_sampled_mode_within_error_bound():
         assert abs(estimate.value - exact) <= 5 * estimate.std_error_bound
 
 
+def test_protocol_density_counts_eigensolves(eig_calls, monkeypatch):
+    """Spectrum of O, the input and output density checks, and five for
+    compiling V† (ABA generators plus three pulses), each pulse once."""
+    built = []
+    post_init = DensityMatrixState.__post_init__
+    monkeypatch.setattr(DensityMatrixState, "__post_init__", lambda self: built.append(post_init(self)))
+    rng = np.random.default_rng(925)
+    rho = random_density(5, rng).matrix
+    o = random_observable_matrix(5, rng)
+    exact = expectation_exact(rho, o)
+    eig_calls.clear()
+    built.clear()
+    assert expectation_protocol(np.array(rho), o).value == pytest.approx(exact, abs=1e-10)
+    assert sum(eig_calls.values()) == 8
+    assert len(built) == 2
+
+
 def test_observable_from_parts_roundtrip():
     rng = np.random.default_rng(924)
     m = random_observable_matrix(5, rng)

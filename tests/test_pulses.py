@@ -156,6 +156,22 @@ def test_pulse_step_arrays_frozen():
         step.k[0, 0] = 1.0
 
 
+def test_schedule_unitary_cached_and_read_only():
+    rng = np.random.default_rng(12)
+    ks = [rng.normal(size=(3, 3)) for _ in range(2)]
+    steps = tuple(PulseStep(k=(k + k.T) / (2 * max_abs(k)), theta=0.7) for k in ks)
+    schedule = PulseSchedule(n=3, steps=steps)
+    u = schedule.unitary
+    assert schedule.unitary is u
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+    with pytest.raises(AttributeError):
+        schedule.unitary = np.eye(3)
+    np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-13)
+    empty = PulseSchedule(n=2, steps=())
+    assert np.array_equal(empty.unitary, np.eye(2))
+
+
 def test_device_params_validation():
     with pytest.raises(ValueError):
         DeviceParams(g_max_mhz_over_2pi=0.0)

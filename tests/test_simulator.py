@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sesqc.errors import DimensionMismatch, InvalidDensityMatrix
 from sesqc.linalg import expm_generator, random_unitary
@@ -118,6 +120,38 @@ def test_run_schedule_density_consistent_with_pure():
         np.outer(pure_out.amplitudes, pure_out.amplitudes.conj()),
         atol=1e-12,
     )
+
+
+@st.composite
+def schedules_and_states(draw):
+    """A random schedule (possibly empty, possibly n = 1) and a pure state.
+
+    Entries are multiples of 1/8 so that repeated and zero eigenvalues of K
+    are common.
+    """
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-8, 8).map(lambda x: x / 8.0)
+    steps = []
+    for i in range(draw(st.integers(0, 5))):
+        a = np.array(draw(st.lists(entry, min_size=n * n, max_size=n * n))).reshape(n, n)
+        theta = draw(st.floats(0.0, 10.0, allow_nan=False))
+        steps.append(PulseStep(k=(a + a.T) / 2.0, theta=theta, label=f"s{i}"))
+    amps = np.array(draw(st.lists(entry, min_size=2 * n, max_size=2 * n)))
+    amps = amps[:n] + 1j * amps[n:]
+    assume(np.any(amps))
+    return PulseSchedule(n=n, steps=tuple(steps)), SESState.normalized(amps)
+
+
+@settings(deadline=None, max_examples=60)
+@given(schedules_and_states())
+def test_run_schedule_matches_stepwise_evolution(case):
+    schedule, state = case
+    psi = state.amplitudes
+    for step in schedule.steps:
+        psi = expm_generator(step.theta, step.k) @ psi
+    np.testing.assert_allclose(run_schedule(state, schedule).amplitudes, psi, rtol=0, atol=1e-12)
+    rho = run_schedule(DensityMatrixState.from_pure(state), schedule)
+    np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), rtol=0, atol=1e-12)
 
 
 def test_norm_preserved_over_long_schedule():

@@ -268,6 +268,23 @@ def test_prepare_is_deterministic():
         assert np.array_equal(a.k, b.k) and a.theta == b.theta
 
 
+def test_three_step_prepare_checks_emitted_schedule(monkeypatch):
+    import sesqc.stateprep
+    from sesqc.errors import DecompositionError
+    from sesqc.pulses import PulseStep
+
+    aba_steps = sesqc.stateprep._aba_steps
+
+    def corrupted(a, b, device):
+        steps = aba_steps(a, b, device)
+        steps[1] = PulseStep(k=steps[1].k, theta=steps[1].theta + 0.1, label=steps[1].label)
+        return steps
+
+    monkeypatch.setattr(sesqc.stateprep, "_aba_steps", corrupted)
+    with pytest.raises(DecompositionError):
+        prepare_state_schedule(golden.normalized_target(), mode="three_step")
+
+
 def test_compiled_prep_unitary_equals_schedule_product():
     from sesqc.decompose import schedule_unitary
 
