@@ -25,7 +25,13 @@ from .linalg import (
     simultaneous_diag,
     unitary_diagonalize,
 )
-from .pulses import DeviceParams, PulseSchedule, PulseStep, compile_symmetric_generator
+from .pulses import (
+    ZERO_ANGLE_TOL,
+    DeviceParams,
+    PulseSchedule,
+    PulseStep,
+    compile_symmetric_generator,
+)
 
 ORTHOGONALITY_TOL = 1e-8
 RECONSTRUCTION_TOL = 1e-8
@@ -202,7 +208,8 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     so the pulse angles stay bounded however large ``t`` is, and no matrix
     logarithm is needed.  Real symmetric Hamiltonians compile to a single
     pulse with the real generator ``V diag(phases) V†``; complex Hermitian
-    ones reuse the KAK route with those phases as the diagonal.
+    ones reuse the KAK route with those phases as the diagonal, or emit
+    three zero-angle pulses when the phases are all equal (a global phase).
     """
     device = device or DeviceParams()
     if not np.isfinite(t):
@@ -217,6 +224,10 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL:
         g = ((v * lam) @ v.conj().T).real
         steps = [compile_symmetric_generator((g + g.T) / 2.0, device, label="hamiltonian")]
+    elif max_abs(np.angle(np.exp(-1j * (lam - lam[0])))) <= ZERO_ANGLE_TOL:
+        # A global phase: the KAK factors of the eigenbasis would still
+        # give A a nonzero angle.
+        steps = _aba_steps(np.zeros(hm.shape), np.zeros(hm.shape), device)
     else:
         steps = _aba_steps(*_kak_generators(v, lam), device)
     return _verified_schedule(steps, target, device)

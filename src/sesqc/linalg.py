@@ -7,9 +7,14 @@ which either return a cleaned-up copy or raise a domain error.
 Eigendecompositions run on the cyclic Jacobi kernels in
 :mod:`sesqc._kernels` and are post-processed to a deterministic form:
 eigenvalues ascending, and each eigenvector column scaled so its
-largest-magnitude entry is real and positive.
+largest-magnitude entry is real and positive.  Pulse exponentials
+(:func:`expm_generator`) use no eigensolver: they are formed from matrix
+products alone, so a schedule's net unitary is computed independently of
+the eigendecompositions that produced its generators.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -217,12 +222,30 @@ def unitary_diagonalize(u) -> tuple[np.ndarray, np.ndarray]:
 
 
 def expm_generator(theta: float, k) -> np.ndarray:
-    """Evolution operator ``exp(-1j * theta * K)`` for real symmetric ``K``."""
+    """Evolution operator ``exp(-1j * theta * K)`` for real symmetric ``K``.
+
+    Scaling and squaring with matrix products only: a degree-18 Taylor
+    series of ``-1j*theta*K / 2**s``, whose 1-norm is below 1/2, squared
+    ``s`` times.  A squaring doubles the unitarity defect, so each one is
+    followed by a Newton-Schulz polar step ``X (3I - X†X) / 2``, which
+    squares it instead: the result is unitary to rounding at any angle.
+    """
     if not np.isfinite(theta):
         raise ValueError("theta must be finite")
     km = require_real_symmetric(k, name="K")
-    q, lam = symmetric_eig(km)
-    return (q * np.exp(-1j * float(theta) * lam)) @ q.T
+    norm = abs(float(theta)) * float(np.abs(km).sum(axis=0).max(initial=0.0))
+    if not np.isfinite(norm):
+        raise ValueError(f"theta * |K| overflows at theta = {theta}")
+    s = max(0, math.frexp(norm)[1] + 1)
+    m = (-1j * math.ldexp(float(theta), -s)) * km
+    eye = np.eye(km.shape[0], dtype=np.complex128)
+    u = eye
+    for j in range(18, 0, -1):
+        u = eye + (m @ u) / j
+    for _ in range(s):
+        u = u @ u
+        u = u @ (3.0 * eye - u.conj().T @ u) / 2.0
+    return u
 
 
 def global_phase_fidelity(u, w) -> float:

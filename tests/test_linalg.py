@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sesqc.errors import (
     CommutatorViolation,
@@ -22,6 +25,9 @@ from sesqc.linalg import (
     symmetric_eig,
     unitary_diagonalize,
 )
+from sesqc.pulses import PulseSchedule, PulseStep
+from sesqc.simulator import run_schedule
+from sesqc.stateprep import SESState
 
 
 def expm_series(m, terms=60):
@@ -221,6 +227,41 @@ def test_expm_generator_is_unitary():
     g = (g + g.T) / 2
     u = expm_generator(2.1, g)
     np.testing.assert_allclose(u.conj().T @ u, np.eye(7), atol=1e-13)
+
+
+@st.composite
+def symmetric_generators(draw):
+    """A real symmetric K with entries in [-1, 1], n in 1..32."""
+    n = draw(st.integers(1, 32))
+    a = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    return (a + a.T) / 2.0
+
+
+@settings(deadline=None, max_examples=60)
+@given(symmetric_generators(), st.floats(0.0, 4.0 * np.pi))
+def test_expm_generator_matches_eigh(k, theta):
+    lam, q = np.linalg.eigh(k)
+    reference = (q * np.exp(-1j * theta * lam)) @ q.T
+    assert max_abs(expm_generator(theta, k) - reference) <= 1e-12
+
+
+@pytest.mark.parametrize("theta", [1e3, 1e4, 1e5, 1e6, 1e12, 1e300])
+def test_expm_generator_stays_unitary_at_large_angle(theta):
+    """Repeated squaring alone would let the unitarity defect grow with theta*|K|."""
+    rng = np.random.default_rng(73)
+    a = rng.uniform(-1.0, 1.0, size=(32, 32))
+    k = (a + a.T) / 2
+    u = expm_generator(theta, k)
+    assert max_abs(u.conj().T @ u - np.eye(32)) <= 1e-13
+    schedule = PulseSchedule(n=32, steps=(PulseStep(k=k, theta=theta),))
+    assert run_schedule(SESState.basis(32, 0), schedule).n == 32
+
+
+def test_expm_generator_rejects_nonfinite_angle():
+    with pytest.raises(ValueError, match="theta must be finite"):
+        expm_generator(np.inf, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="overflows"):
+        expm_generator(1e308, np.ones((4, 4)))
 
 
 def test_global_phase_fidelity_invariance():
