@@ -108,7 +108,7 @@ def schedule_to_obj(schedule: PulseSchedule, source: str = "", seed: int | None 
             {
                 "label": step.label,
                 "theta": float(step.theta),
-                "K": [[float(x) for x in row] for row in step.k],
+                "K": step.k.tolist(),
             }
             for step in schedule.steps
         ],
@@ -136,21 +136,26 @@ def schedule_from_obj(obj) -> PulseSchedule:
         k_rows = raw["K"]
         _require(
             isinstance(k_rows, list) and len(k_rows) == n
-            and all(isinstance(r, list) and len(r) == n and all(map(_is_number, r)) for r in k_rows),
+            and all(isinstance(r, list) and len(r) == n for r in k_rows)
+            and ({type(x) for r in k_rows for x in r} <= {int, float}
+                 or all(all(map(_is_number, r)) for r in k_rows)),
             f"step {idx}: K must be an {n}x{n} array of numbers",
         )
         _require(_is_number(raw["theta"]), f"step {idx}: 'theta' must be a number")
+        _require(isinstance(raw["label"], str), f"step {idx}: 'label' must be a string")
         try:
             steps.append(
                 PulseStep(
                     k=np.asarray(k_rows, dtype=np.float64),
                     theta=float(raw["theta"]),
-                    label=str(raw["label"]),
+                    label=raw["label"],
                 )
             )
         except (SesqcError, ValueError, TypeError) as exc:
             raise ValueError(f"step {idx} is invalid: {exc}") from exc
     schedule = PulseSchedule(n=n, steps=tuple(steps), device=device)
+    for key in ("total_theta", "duration_ns"):
+        _require(_is_number(obj[key]), f"'{key}' must be a number")
     total = float(obj["total_theta"])
     _require(
         abs(total - schedule.total_angle) <= CONSISTENCY_RTOL * max(1.0, abs(total)),

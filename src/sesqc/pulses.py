@@ -6,9 +6,14 @@ of the coupling ceiling g_max and the hold time, in radians).  Any real
 symmetric generator ``A`` maps onto this form by subtracting the optimal
 multiple of the identity (a global phase) and rescaling by the largest
 remaining entry.
+
+A schedule's net unitary applies diagonal and single-pair pulses, which
+make up all but one pulse of the linear preparation protocol, in closed
+form; only the other pulses are exponentiated densely.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -82,11 +87,24 @@ class PulseSchedule:
     def unitary(self) -> np.ndarray:
         """Net operator, the product of step unitaries with ``steps[0]`` first.
 
-        Formed once per schedule and returned read-only.
+        Formed once per schedule and returned read-only.  Each step is
+        applied by the nonzero pattern of its K: a diagonal K scales rows
+        by ``exp(-1j*theta*k_ii)``, a K holding only one symmetric pair
+        (i, j) rotates rows i and j by ``[[c, -1j*s], [-1j*s, c]]`` with
+        ``c, s = cos, sin(theta*k_ij)``, and any other K is exponentiated
+        densely by :func:`expm_generator`.
         """
         u = np.eye(self.n, dtype=np.complex128)
         for step in self.steps:
-            u = expm_generator(step.theta, step.k) @ u
+            rows, cols = np.nonzero(step.k)
+            if np.array_equal(rows, cols):
+                u[rows] *= np.exp(-1j * (step.theta * step.k[rows, cols]))[:, None]
+            elif rows.size == 2:  # K is exactly symmetric, so this is the pair (i, j), (j, i)
+                i, j = rows
+                angle = step.theta * step.k[i, j]
+                u[[i, j]] = math.cos(angle) * u[[i, j]] - 1j * math.sin(angle) * u[[j, i]]
+            else:
+                u = expm_generator(step.theta, step.k) @ u
         u.flags.writeable = False
         return u
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, InvalidDensityMatrix
-from .linalg import hermitian_eig, max_abs
+from .linalg import UNITARY_TOL, hermitian_eig, max_abs
 from .pulses import PulseSchedule, PulseStep
 from .stateprep import SESState
 
@@ -23,6 +23,21 @@ EIGENVALUE_FLOOR = -1e-9
 RNG_NAME = "numpy-pcg64"
 
 
+def _hermitian_unit_trace(matrix) -> np.ndarray:
+    """Complex copy of ``matrix``, checked square, finite, Hermitian and of unit trace."""
+    m = np.array(matrix, dtype=np.complex128, copy=True)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise InvalidDensityMatrix(f"density matrix must be square, got {m.shape}")
+    if not np.all(np.isfinite(m)):
+        raise InvalidDensityMatrix("density matrix has non-finite entries")
+    if max_abs(m - m.conj().T) > DENSITY_TOL:
+        raise InvalidDensityMatrix("density matrix is not Hermitian")
+    trace_err = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
+    if trace_err > DENSITY_TOL:
+        raise InvalidDensityMatrix(f"trace deviates from 1 by {trace_err:.3e}")
+    return m
+
+
 @dataclass(frozen=True)
 class DensityMatrixState:
     """Mixed state: Hermitian, positive semidefinite, unit trace."""
@@ -30,16 +45,7 @@ class DensityMatrixState:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128, copy=True)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise InvalidDensityMatrix(f"density matrix must be square, got {m.shape}")
-        if not np.all(np.isfinite(m)):
-            raise InvalidDensityMatrix("density matrix has non-finite entries")
-        if max_abs(m - m.conj().T) > DENSITY_TOL:
-            raise InvalidDensityMatrix("density matrix is not Hermitian")
-        trace_err = abs(float(np.trace(m).real) - 1.0) + abs(float(np.trace(m).imag))
-        if trace_err > DENSITY_TOL:
-            raise InvalidDensityMatrix(f"trace deviates from 1 by {trace_err:.3e}")
+        m = _hermitian_unit_trace(self.matrix)
         _, eigvals = hermitian_eig((m + m.conj().T) / 2.0)
         if float(eigvals.min()) < EIGENVALUE_FLOOR:
             raise InvalidDensityMatrix(
@@ -47,6 +53,16 @@ class DensityMatrixState:
             )
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
+
+    @classmethod
+    def _positive(cls, matrix) -> "DensityMatrixState":
+        """Build from a matrix known to be positive semidefinite, such as
+        ``U rho U†`` of a valid ``rho``: only the O(n^2) checks run."""
+        m = _hermitian_unit_trace(matrix)
+        m.flags.writeable = False
+        state = object.__new__(cls)
+        object.__setattr__(state, "matrix", m)
+        return state
 
     @property
     def n(self) -> int:
@@ -103,7 +119,11 @@ def run_schedule(state: SESState | DensityMatrixState, schedule: PulseSchedule):
     u = schedule.unitary
     if isinstance(state, SESState):
         return SESState(u @ state.amplitudes)
-    return DensityMatrixState(u @ state.matrix @ u.conj().T)
+    # U rho U† is positive semidefinite because rho was validated and U is unitary
+    defect = max_abs(u.conj().T @ u - np.eye(u.shape[0]))
+    if defect > UNITARY_TOL:
+        raise InvalidDensityMatrix(f"schedule product fails unitarity: max|U†U - I| = {defect:.3e}")
+    return DensityMatrixState._positive(u @ state.matrix @ u.conj().T)
 
 
 def measure(state: SESState | DensityMatrixState, shots: int, seed: int | None = None) -> MeasurementRecord:

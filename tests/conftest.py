@@ -8,11 +8,10 @@ import pytest
 import sesqc.linalg
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    """Counts of ``symmetric_eig``/``hermitian_eig`` calls, in every sesqc module that binds them."""
+def _count_calls(monkeypatch, names) -> collections.Counter:
+    """Count calls of ``sesqc.linalg`` functions, in every sesqc module that binds them."""
     calls = collections.Counter()
-    for name in ("symmetric_eig", "hermitian_eig"):
+    for name in names:
         original = getattr(sesqc.linalg, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -23,3 +22,15 @@ def eig_calls(monkeypatch):
             if key.startswith("sesqc") and vars(module).get(name) is original:
                 monkeypatch.setattr(module, name, counted)
     return calls
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    """Counts of ``symmetric_eig``/``hermitian_eig`` calls."""
+    return _count_calls(monkeypatch, ("symmetric_eig", "hermitian_eig"))
+
+
+@pytest.fixture
+def expm_calls(monkeypatch):
+    """Counts of dense pulse exponentials (``expm_generator`` calls)."""
+    return _count_calls(monkeypatch, ("expm_generator",))

@@ -148,6 +148,20 @@ def test_prepare_linear_counts_eigensolves(tmp_path, capsys, eig_calls):
     assert sum(eig_calls.values()) == 0
 
 
+def test_prepare_linear_counts_dense_exponentials(tmp_path, capsys, expm_calls):
+    """Only the star pulse is exponentiated densely, when the schedule is
+    prepared and again when its file is simulated; the diagonal and
+    partial-swap pulses are applied in closed form."""
+    out = tmp_path / "prep.json"
+    code, _, _ = run_cli(capsys, "prepare", str(write_target(tmp_path)), "--mode", "linear", "--out", str(out))
+    assert code == 0
+    assert expm_calls["expm_generator"] == 1
+    expm_calls.clear()
+    code, _, _ = run_cli(capsys, "simulate", str(out))
+    assert code == 0
+    assert expm_calls["expm_generator"] == 1
+
+
 def test_prepare_rejects_unnormalized_state(tmp_path, capsys):
     path = tmp_path / "raw.json"
     save_state(path, golden.TARGET_AMPLITUDES)  # squared norm is 1.0000256
@@ -183,6 +197,25 @@ def test_simulate_rejects_boolean_theta(tmp_path, capsys):
     code, _, err = run_cli(capsys, "simulate", str(sched_path))
     assert code == 2
     assert "theta" in err or "K" in err
+
+
+def test_simulate_rejects_string_totals_and_labels(tmp_path, capsys):
+    doc = {
+        "n": 1, "g_max_mhz_over_2pi": 50.0,
+        "steps": [{"label": "", "theta": 1.0, "K": [[1.0]]}],
+        "total_theta": 1.0, "duration_ns": 1.0 / (2 * np.pi * 0.05),
+    }
+    sched_path = tmp_path / "s.json"
+    for key, value in (("total_theta", "1.0"), ("duration_ns", str(doc["duration_ns"]))):
+        sched_path.write_text(json.dumps(dict(doc, **{key: value})))
+        code, _, err = run_cli(capsys, "simulate", str(sched_path))
+        assert code == 2
+        assert key in err
+    doc["steps"][0]["label"] = [1, 2]
+    sched_path.write_text(json.dumps(doc))
+    code, _, err = run_cli(capsys, "simulate", str(sched_path))
+    assert code == 2
+    assert "label" in err
 
 
 def test_simulate_accepts_state_file_initial(tmp_path, capsys):

@@ -182,6 +182,33 @@ def test_schedule_from_obj_checks_consistency():
         doc["steps"][0].update(theta=theta, K=k)
         with pytest.raises(ValueError):
             schedule_from_obj(doc)
+    # the same holds for the totals, and a label must be a string
+    for key, value in (("total_theta", True), ("total_theta", "1.0"),
+                       ("duration_ns", str(one["duration_ns"]))):
+        with pytest.raises(ValueError, match=key):
+            schedule_from_obj(dict(one, **{key: value}))
+    doc = json.loads(json.dumps(one))
+    doc["steps"][0]["label"] = [1, 2]
+    with pytest.raises(ValueError, match="label"):
+        schedule_from_obj(doc)
+
+
+def test_schedule_from_obj_entry_types():
+    """K entries must be JSON numbers; ints and floats pass the one-set
+    check, Python float subclasses such as ``np.float64`` the per-entry one."""
+    one = schedule_to_obj(PulseSchedule(n=2, steps=(PulseStep(k=np.eye(2), theta=1.0),)))
+    for bad in (True, False, "1.0", None, [1.0]):
+        doc = json.loads(json.dumps(one))
+        doc["steps"][0]["K"][1][1] = bad
+        with pytest.raises(ValueError, match="K must be"):
+            schedule_from_obj(doc)
+    for k in ([[1, 0], [0, 1]], [[1.0, 0], [0, 1.0]],
+              [[np.float64(1.0), 0], [0.0, np.float64(1.0)]]):
+        doc = json.loads(json.dumps(one))
+        doc["steps"][0]["K"] = k
+        step = schedule_from_obj(doc).steps[0]
+        assert step.k.dtype == np.float64
+        assert np.array_equal(step.k, np.eye(2))
 
 
 def test_empty_schedule_round_trips():

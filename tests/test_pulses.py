@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import sesqc.pulses
 from sesqc.errors import DecompositionError, DimensionMismatch, NotHermitian
-from sesqc.linalg import max_abs
+from sesqc.linalg import expm_generator, max_abs
 from sesqc.pulses import (
     DEFAULT_GMAX_MHZ,
     DeviceParams,
@@ -170,6 +172,71 @@ def test_schedule_unitary_cached_and_read_only():
     np.testing.assert_allclose(u.conj().T @ u, np.eye(3), atol=1e-13)
     empty = PulseSchedule(n=2, steps=())
     assert np.array_equal(empty.unitary, np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# closed-form products of diagonal and two-level pulses
+
+K_KINDS = ("diag", "pair", "pair_diag", "dense")
+
+
+def k_of_kind(kind, n, rng):
+    """Coupling matrix with the nonzero pattern ``kind``; pairs need n >= 2."""
+    k = np.zeros((n, n))
+    if kind == "diag":
+        k[np.diag_indices(n)] = rng.uniform(-1, 1, n) * (rng.random(n) < 0.7)
+    elif kind == "dense":
+        a = rng.uniform(-1, 1, (n, n))
+        k = (a + a.T) / 2
+    else:
+        i, j = rng.choice(n, size=2, replace=False)
+        k[i, j] = k[j, i] = rng.uniform(0.1, 1) * rng.choice([-1, 1])
+        if kind == "pair_diag":
+            d = rng.integers(n)
+            k[d, d] = rng.uniform(0.1, 1)
+    return k
+
+
+@st.composite
+def mixed_schedules(draw):
+    """Schedules mixing diagonal, single-pair, pair-plus-diagonal and dense K."""
+    n = draw(st.integers(1, 16))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps = []
+    for kind in draw(st.lists(st.sampled_from(K_KINDS), max_size=6)):
+        if n == 1 and kind != "dense":
+            kind = "diag"
+        theta = draw(st.floats(0.0, 1e3, allow_nan=False))
+        steps.append(PulseStep(k=k_of_kind(kind, n, rng), theta=theta, label=kind))
+    return PulseSchedule(n=n, steps=tuple(steps))
+
+
+@settings(deadline=None, max_examples=80)
+@given(mixed_schedules())
+def test_schedule_unitary_matches_dense_exponentials(schedule):
+    u = np.eye(schedule.n, dtype=np.complex128)
+    for step in schedule.steps:
+        u = expm_generator(step.theta, step.k) @ u
+    np.testing.assert_allclose(schedule.unitary, u, rtol=0, atol=1e-12)
+
+
+def test_schedule_unitary_exponentiates_only_dense_steps(expm_calls):
+    """Diagonal and single-pair K take the closed forms; a pair with a
+    diagonal entry and a dense K are exponentiated."""
+    rng = np.random.default_rng(31)
+    steps = tuple(PulseStep(k=k_of_kind(kind, 6, rng), theta=0.9, label=kind)
+                  for kind in ("diag", "pair", "pair_diag", "dense", "diag", "pair"))
+    PulseSchedule(n=6, steps=steps).unitary
+    assert expm_calls["expm_generator"] == 2
+
+
+@pytest.mark.parametrize("theta", [1e6, 1e12])
+@pytest.mark.parametrize("kind", ["diag", "pair"])
+def test_closed_form_pulses_stay_unitary_at_large_angle(kind, theta):
+    rng = np.random.default_rng(32)
+    steps = tuple(PulseStep(k=k_of_kind(kind, 8, rng), theta=theta) for _ in range(10))
+    u = PulseSchedule(n=8, steps=steps).unitary
+    assert max_abs(u.conj().T @ u - np.eye(8)) <= 1e-13
 
 
 def test_device_params_validation():

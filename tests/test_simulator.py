@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import sesqc.pulses
 from sesqc.errors import DimensionMismatch, InvalidDensityMatrix
 from sesqc.linalg import expm_generator, random_unitary
 from sesqc.pulses import DeviceParams, PulseSchedule, PulseStep
@@ -152,6 +153,18 @@ def test_run_schedule_matches_stepwise_evolution(case):
     np.testing.assert_allclose(run_schedule(state, schedule).amplitudes, psi, rtol=0, atol=1e-12)
     rho = run_schedule(DensityMatrixState.from_pure(state), schedule)
     np.testing.assert_allclose(rho.matrix, np.outer(psi, psi.conj()), rtol=0, atol=1e-12)
+
+
+def test_run_schedule_rejects_nonunitary_product_on_density(monkeypatch):
+    """The evolved density matrix skips its eigensolve only because U is
+    unitary, so a non-unitary product is refused.  This one keeps
+    ``U rho U†`` Hermitian with unit trace, so only that check can fire."""
+    monkeypatch.setattr(sesqc.pulses, "expm_generator",
+                        lambda theta, k: np.diag([np.sqrt(2.0), 0.0, 1.0, 1.0]))
+    schedule = PulseSchedule(n=4, steps=(PulseStep(k=np.full((4, 4), 0.5), theta=1.0),))
+    rho = DensityMatrixState(np.eye(4) / 4)
+    with pytest.raises(InvalidDensityMatrix, match="unitarity"):
+        run_schedule(rho, schedule)
 
 
 def test_norm_preserved_over_long_schedule():
