@@ -17,7 +17,6 @@ reports unless ``--json`` is passed.  When ``--seed`` is omitted the
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -301,14 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser :func:`main` uses, built once per process."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except _CliError as exc:

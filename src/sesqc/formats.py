@@ -31,9 +31,13 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def _is_number_type(t: type) -> bool:
+    """JSON number type test; ``bool`` subclasses ``int`` but ``true``/``false`` are not numbers."""
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
 def _is_number(x) -> bool:
-    """JSON number test; ``bool`` subclasses ``int`` but ``true``/``false`` are not numbers."""
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return _is_number_type(type(x))
 
 
 def _is_size(n) -> bool:
@@ -137,8 +141,7 @@ def schedule_from_obj(obj) -> PulseSchedule:
         _require(
             isinstance(k_rows, list) and len(k_rows) == n
             and all(isinstance(r, list) and len(r) == n for r in k_rows)
-            and ({type(x) for r in k_rows for x in r} <= {int, float}
-                 or all(all(map(_is_number, r)) for r in k_rows)),
+            and all(map(_is_number_type, {type(x) for r in k_rows for x in r})),
             f"step {idx}: K must be an {n}x{n} array of numbers",
         )
         _require(_is_number(raw["theta"]), f"step {idx}: 'theta' must be a number")

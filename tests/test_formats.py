@@ -194,8 +194,8 @@ def test_schedule_from_obj_checks_consistency():
 
 
 def test_schedule_from_obj_entry_types():
-    """K entries must be JSON numbers; ints and floats pass the one-set
-    check, Python float subclasses such as ``np.float64`` the per-entry one."""
+    """K entries must be JSON numbers: ints, floats and their subclasses such
+    as ``np.float64`` pass, ``bool`` and every non-number type fail."""
     one = schedule_to_obj(PulseSchedule(n=2, steps=(PulseStep(k=np.eye(2), theta=1.0),)))
     for bad in (True, False, "1.0", None, [1.0]):
         doc = json.loads(json.dumps(one))
