@@ -1,109 +1,77 @@
-"""Cyclic Jacobi eigensolver kernels.
+"""Round-robin Jacobi eigensolver kernel.
 
-Vectorised numpy row/column updates: each rotation updates two columns and
-two rows of the work array and two columns of the accumulated eigenvectors.
-The kernels leave eigenvalues unsorted on the work-array diagonal; ordering
-and sign conventions are applied by :mod:`sesqc.linalg`.
+One sweep routine serves real symmetric (float64) and Hermitian (complex128)
+input.  A sweep is the circle-method tournament over the indices (Brent &
+Luk, SIAM J. Sci. Stat. Comput. 6, 1985; Golub & Van Loan, *Matrix
+Computations* §8.5): each round pairs the indices off, leaving one idle when
+n is odd, and applies its floor(n/2) disjoint rotations at once as one n×n
+rotation J, ``A <- J† A J`` and ``V <- V J``.  The kernel leaves eigenvalues
+unsorted on the work-array diagonal; ordering and sign conventions are
+applied by :mod:`sesqc.linalg`.
 """
 from __future__ import annotations
 
-import math
+import functools
 
 import numpy as np
 
 from .errors import ConvergenceError
 
 MAX_SWEEPS = 100
+TINY = np.finfo(np.float64).tiny
 
 
-def _sweep_real(a: np.ndarray, v: np.ndarray, tol: float) -> int:
+@functools.cache
+def _rounds(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``[p, q]`` index rows, ``p < q``, of each round of the circle method."""
+    m = n + n % 2  # an odd n gets a dummy index n; its partner idles
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [sorted(pq) for pq in zip(ring[: m // 2], ring[::-1]) if max(pq) < n]
+        pq = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        pq.setflags(write=False)
+        rounds.append(pq)
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
+
+
+def _diagonalise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonalise the work array ``a``; return ``(w, v)``."""
     n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    for sweep in range(MAX_SWEEPS):
-        if n < 2 or np.max(np.abs(a[iu])) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - s * col_q
-                a[:, q] = s * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - s * row_q
-                a[q, :] = s * row_p + c * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - s * vcol_q
-                v[:, q] = s * vcol_p + c * vcol_q
-    if n < 2 or np.max(np.abs(a[iu])) <= tol:
-        return MAX_SWEEPS
-    return -1
-
-
-def _sweep_herm(a: np.ndarray, v: np.ndarray, tol: float) -> int:
-    n = a.shape[0]
-    iu = np.triu_indices(n, k=1)
-    for sweep in range(MAX_SWEEPS):
-        if n < 2 or np.max(np.abs(a[iu])) <= tol:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                mag = abs(apq)
-                if mag == 0.0:
-                    continue
-                phase = apq / mag
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                sp = s * phase
-                spc = s * phase.conjugate()
-                col_p = a[:, p].copy()
-                col_q = a[:, q].copy()
-                a[:, p] = c * col_p - spc * col_q
-                a[:, q] = sp * col_p + c * col_q
-                row_p = a[p, :].copy()
-                row_q = a[q, :].copy()
-                a[p, :] = c * row_p - sp * row_q
-                a[q, :] = spc * row_p + c * row_q
-                vcol_p = v[:, p].copy()
-                vcol_q = v[:, q].copy()
-                v[:, p] = c * vcol_p - spc * vcol_q
-                v[:, q] = sp * vcol_p + c * vcol_q
-    if n < 2 or np.max(np.abs(a[iu])) <= tol:
-        return MAX_SWEEPS
-    return -1
-
-
-def _diagonalise(a: np.ndarray, sweep) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``sweep`` on the work array ``a`` in place; return ``(w, v)``."""
-    n = a.shape[0]
-    v = np.eye(n, dtype=a.dtype, order="C")
+    v = np.eye(n, dtype=a.dtype)
     tol = 1e-13 * max(1.0, float(np.max(np.abs(a))) if n else 0.0)
-    if sweep(a, v, tol) < 0:
-        raise ConvergenceError(
-            f"Jacobi failed to converge in {MAX_SWEEPS} sweeps (n={n})"
-        )
+    iu = np.triu_indices(n, k=1)
+    sweeps = 0
+    while n > 1 and np.max(np.abs(a[iu])) > tol:
+        if sweeps == MAX_SWEEPS:
+            raise ConvergenceError(f"Jacobi failed to converge in {MAX_SWEEPS} sweeps (n={n})")
+        sweeps += 1
+        for p, q in _rounds(n):
+            apq = a[p, q]
+            mag = np.abs(apq)
+            # A zero or subnormal a[p, q] is below any tolerance and would
+            # overflow apq / mag: it gets t = 0, the identity rotation.
+            live = mag >= TINY
+            mag[~live] = 1.0
+            with np.errstate(over="ignore"):  # |tau| = inf rounds t to 0, as t ~ 1/(2 tau) would
+                tau = (a[q, q].real - a[p, p].real) / (2.0 * mag)
+                t = np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau))
+            t[~live] = 0.0
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c * (apq / mag)  # carries the phase of a[p, q]
+            j = np.eye(n, dtype=a.dtype)
+            j[p, p] = c
+            j[q, q] = c
+            j[p, q] = s
+            j[q, p] = -s.conj()
+            a = j.conj().T @ a @ j
+            v = v @ j
     return np.diagonal(a).real.copy(), v
 
 
 def jacobi_real(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalise a real symmetric matrix by cyclic Jacobi rotations.
+    """Diagonalise a real symmetric matrix by round-robin Jacobi rotations.
 
     Returns ``(w, v)`` with unsorted eigenvalues ``w`` and the accumulated
     rotation matrix ``v`` (columns are eigenvectors).  Raises
@@ -111,12 +79,12 @@ def jacobi_real(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     tolerance after ``MAX_SWEEPS`` full sweeps, which cannot happen for
     finite symmetric input and therefore flags a defect.
     """
-    return _diagonalise(np.array(s, dtype=np.float64, order="C", copy=True), _sweep_real)
+    return _diagonalise(np.array(s, dtype=np.float64, copy=True))
 
 
 def jacobi_herm(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonalise a complex Hermitian matrix by cyclic Jacobi rotations.
+    """Diagonalise a complex Hermitian matrix by round-robin Jacobi rotations.
 
     Returns ``(w, v)`` with unsorted real eigenvalues and unitary ``v``.
     """
-    return _diagonalise(np.array(h, dtype=np.complex128, order="C", copy=True), _sweep_herm)
+    return _diagonalise(np.array(h, dtype=np.complex128, copy=True))

@@ -4,7 +4,7 @@ All routines work on plain ``numpy`` arrays.  Matrix-valued preconditions
 (symmetric, Hermitian, unitary) are enforced by the ``require_*`` validators
 which either return a cleaned-up copy or raise a domain error.
 
-Eigendecompositions run on the cyclic Jacobi kernels in
+Eigendecompositions run on the round-robin Jacobi kernel in
 :mod:`sesqc._kernels` and are post-processed to a deterministic form:
 eigenvalues ascending, and each eigenvector column scaled so its
 largest-magnitude entry is real and positive.  Pulse exponentials
@@ -53,10 +53,14 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 def require_real_symmetric(a, tol: float = SYMMETRY_TOL, name: str = "matrix") -> np.ndarray:
     """Validate and return a float64 symmetrised copy of ``a``."""
-    m = _as_square(np.asarray(a, dtype=np.complex128), name)
-    if max_abs(m.imag) > tol:
-        raise NotHermitian(f"{name} has imaginary entries above {tol}")
-    r = m.real
+    m = np.asarray(a)
+    if m.dtype.kind in "fiu":
+        r = _as_square(np.asarray(m, dtype=np.float64), name)
+    else:
+        c = _as_square(np.asarray(m, dtype=np.complex128), name)
+        if max_abs(c.imag) > tol:
+            raise NotHermitian(f"{name} has imaginary entries above {tol}")
+        r = c.real
     if max_abs(r - r.T) > tol:
         raise NotHermitian(f"{name} is not symmetric within {tol}")
     return np.array((r + r.T) / 2.0, dtype=np.float64, order="C")
@@ -82,15 +86,15 @@ def require_unitary(a, tol: float = UNITARY_TOL, name: str = "matrix") -> np.nda
 
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Scale each column so its largest-magnitude entry is real positive."""
-    for j in range(v.shape[1]):
-        k = int(np.argmax(np.abs(v[:, j])))
-        pivot = v[k, j]
-        if np.iscomplexobj(v):
-            mag = abs(pivot)
-            if mag > 0.0:
-                v[:, j] *= pivot.conjugate() / mag
-        elif pivot < 0.0:
-            v[:, j] = -v[:, j]
+    if not v.size:
+        return v
+    pivot = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    if np.iscomplexobj(v):
+        mag = np.hypot(pivot.real, pivot.imag)  # rounds as scalar abs() does; np.abs need not
+        live = mag > 0.0
+        v[:, live] *= pivot[live].conj() / mag[live]
+    else:
+        v[:, pivot < 0.0] *= -1.0
     return v
 
 

@@ -117,6 +117,7 @@ def expectation_protocol(
         bound = 0.0
     else:
         record = measure(rotated, shots, seed)
+        shots = record.shots
         probs = record.frequencies
         bound = std_error_bound(obs, shots)
     value = float(np.dot(obs.eigvals, probs))

@@ -128,6 +128,8 @@ def run_schedule(state: SESState | DensityMatrixState, schedule: PulseSchedule):
 
 def measure(state: SESState | DensityMatrixState, shots: int, seed: int | None = None) -> MeasurementRecord:
     """Sample ``shots`` qubit-basis measurements; reproducible for a fixed seed."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
+        raise ValueError(f"shots must be an integer, got {shots!r}")
     if shots < 1:
         raise ValueError("shots must be >= 1")
     p = np.clip(occupations(state), 0.0, None)

@@ -1,10 +1,16 @@
-"""Jacobi kernel tests: correctness against LAPACK."""
+"""Jacobi kernel tests: correctness against LAPACK and the kernel contract."""
+
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from sesqc import _kernels
 from sesqc.errors import ConvergenceError
+from sesqc.linalg import max_abs
 
 
 def random_symmetric(n, rng):
@@ -66,3 +72,144 @@ def test_convergence_error_when_sweeps_exhausted(monkeypatch):
         _kernels.jacobi_real(s)
     with pytest.raises(ConvergenceError):
         _kernels.jacobi_herm(random_hermitian(12, rng))
+
+
+KERNELS = [(_kernels.jacobi_real, random_symmetric), (_kernels.jacobi_herm, random_hermitian)]
+
+
+def assert_eigenpairs(a, w, v, atol):
+    n = a.shape[0]
+    assert max_abs((v * w) @ v.conj().T - a) <= atol
+    assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-13 * max(1, n)
+    np.testing.assert_allclose(np.sort(w), np.linalg.eigvalsh(a), rtol=0, atol=atol)
+
+
+@pytest.mark.parametrize("n", [1, 3, 5, 7, 33])
+@pytest.mark.parametrize("kernel, make", KERNELS)
+def test_odd_n_leaves_one_index_idle_per_round(n, kernel, make):
+    a = make(n, np.random.default_rng(500 + n))
+    w, v = kernel(a)
+    assert_eigenpairs(a, w, v, 1e-12 * n)
+
+
+@pytest.mark.parametrize("kernel", [_kernels.jacobi_real, _kernels.jacobi_herm])
+def test_diagonal_input_returns_identity_exactly(kernel):
+    d = np.diag([2.0, -7.5, 0.0, 1e-3, 4.0])
+    w, v = kernel(d)
+    assert np.array_equal(w, np.diagonal(d))
+    assert np.array_equal(v, np.eye(5))
+
+
+@pytest.mark.parametrize("kernel, make", KERNELS)
+def test_block_diagonal_input_keeps_blocks_apart(kernel, make):
+    """Pairs across blocks have a[p, q] == 0 and must rotate by the identity."""
+    rng = np.random.default_rng(7)
+    sizes = (3, 1, 4, 2)
+    a = np.zeros((10, 10), dtype=make(1, rng).dtype)
+    block = np.repeat(np.arange(len(sizes)), sizes)
+    lo = 0
+    for size in sizes:
+        a[lo : lo + size, lo : lo + size] = make(size, rng)
+        lo += size
+    w, v = kernel(a)
+    assert_eigenpairs(a, w, v, 1e-12 * 10)
+    assert np.all(v[block[:, None] != block[None, :]] == 0.0)
+
+
+def degenerate_inputs(n=9):
+    """Identity, rank 1, repeated pairs (Hermitian) and triples (real)."""
+    rng = np.random.default_rng(11)
+    u = rng.normal(size=n)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    return [
+        np.eye(n),
+        np.outer(u, u),
+        (q * (np.arange(n) // 2)) @ q.conj().T,
+        (o * np.repeat([1.0, -2.0, 3.0], 3)) @ o.T,
+    ]
+
+
+@pytest.mark.parametrize("index", range(4))
+def test_degenerate_spectra(index):
+    a = degenerate_inputs()[index]
+    kernel = _kernels.jacobi_herm if np.iscomplexobj(a) else _kernels.jacobi_real
+    w, v = kernel(a)
+    assert_eigenpairs(a, w, v, 1e-12 * 9 * max(1.0, max_abs(a)))
+
+
+@pytest.mark.parametrize("kernel, make", KERNELS)
+def test_entries_spanning_300_decades(kernel, make):
+    """Entry (i, j) scales as min(d_i, d_j), d from 1e-150 to 1e150: an a[p, q]
+    near 1e-150 across a 1e150 diagonal gap makes |tau| ~ 1e300, so tau**2
+    would overflow."""
+    rng = np.random.default_rng(13)
+    n = 12
+    d = np.repeat(10.0 ** np.linspace(-150.0, 150.0, n // 2), 2)
+    a = make(n, rng) * np.minimum.outer(d, d)
+    scale = max_abs(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = kernel(a)
+    assert np.all(np.isfinite(w)) and np.all(np.isfinite(v))
+    assert_eigenpairs(a, w, v, 1e-12 * n * scale)
+
+
+def test_tiny_pair_beside_huge_gap_rotates_cleanly():
+    """Round 3 of n = 3 rotates (0, 1) with a[0, 1] ~ 1e-150 across a 1e150 gap."""
+    a = np.array([[1e150, 1e-150, 0.0], [1e-150, -1e150, 1e150], [0.0, 1e150, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = _kernels.jacobi_real(a)
+    assert_eigenpairs(a, w, v, 1e-12 * 3 * 1e150)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_subnormal_off_diagonal_rotates_by_identity(dtype):
+    """Dividing a subnormal a[p, q] by its magnitude would overflow to nan."""
+    a = np.full((5, 5), 8.8e-294, dtype=dtype)
+    a[0, 1] = a[1, 0] = 0.5
+    kernel = _kernels.jacobi_herm if dtype is np.complex128 else _kernels.jacobi_real
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w, v = kernel(a)
+    assert_eigenpairs(a, w, v, 1e-15)
+
+
+@pytest.mark.parametrize("kernel, make", KERNELS)
+def test_repeat_calls_are_bit_identical(kernel, make):
+    a = make(17, np.random.default_rng(17))
+    w1, v1 = kernel(a)
+    w2, v2 = kernel(a.copy())
+    assert w1.tobytes() == w2.tobytes() and v1.tobytes() == v2.tobytes()
+
+
+@st.composite
+def symmetric_or_hermitian(draw):
+    """A real symmetric or complex Hermitian matrix, n in 1..24, entries in [-1, 1]."""
+    n = draw(st.integers(1, 24))
+    re = draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    if draw(st.booleans()):
+        re = re + 1j * draw(arrays(np.float64, (n, n), elements=st.floats(-1.0, 1.0)))
+    return (re + re.conj().T) / 2.0
+
+
+@settings(deadline=None, max_examples=80)
+@given(symmetric_or_hermitian())
+def test_kernels_reconstruct_and_stay_orthonormal(a):
+    n = a.shape[0]
+    kernel = _kernels.jacobi_herm if np.iscomplexobj(a) else _kernels.jacobi_real
+    w, v = kernel(a)
+    assert v.dtype == a.dtype
+    assert max_abs((v * w) @ v.conj().T - a) <= 1e-12 * n
+    assert max_abs(v.conj().T @ v - np.eye(n)) <= 1e-12 * n
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 8, 33])
+def test_rounds_pair_every_index_pair_once_per_sweep(n):
+    rounds = _kernels._rounds(n)
+    assert len(rounds) == n - 1 + n % 2
+    seen = [tuple(pq) for pq in np.hstack(rounds).T.tolist()]
+    assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for pq in rounds:
+        assert pq.shape == (2, n // 2) and len(set(pq.ravel().tolist())) == pq.size

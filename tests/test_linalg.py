@@ -13,6 +13,7 @@ from sesqc.errors import (
     NotUnitary,
 )
 from sesqc.linalg import (
+    _fix_column_signs,
     expm_generator,
     global_phase_fidelity,
     hermitian_eig,
@@ -61,6 +62,40 @@ def test_require_real_symmetric_rejects_asymmetric():
         require_real_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32, np.int64, np.int8, np.uint16])
+def test_require_real_symmetric_real_path_matches_complex_path(dtype):
+    """Real input skips the complex128 round trip and returns the same bits."""
+    rng = np.random.default_rng(31)
+    a = rng.integers(0, 100, size=(7, 7)).astype(dtype)
+    if a.dtype.kind == "f":
+        a = a + rng.normal(size=(7, 7)).astype(dtype)
+    a = a + a.T
+    if a.dtype == np.float64:
+        a[2, 5] += 1e-12
+    direct = require_real_symmetric(a)
+    via_complex = require_real_symmetric(a.astype(np.complex128))
+    assert direct.dtype == np.float64 and direct.flags.c_contiguous
+    assert direct.tobytes() == via_complex.tobytes()
+
+
+def test_require_real_symmetric_checks_imaginary_parts():
+    a = np.array([[1.0, 2.0], [2.0, 3.0]], dtype=np.complex128)
+    a[0, 0] += 1e-12j
+    assert require_real_symmetric(a).tobytes() == require_real_symmetric(a.real).tobytes()
+    a[0, 0] += 1e-9j
+    with pytest.raises(NotHermitian, match="imaginary"):
+        require_real_symmetric(a)
+
+
+def test_require_real_symmetric_real_path_keeps_checks():
+    with pytest.raises(ValueError):
+        require_real_symmetric(np.array([[np.inf, 0.0], [0.0, 1.0]]))
+    with pytest.raises(DimensionMismatch):
+        require_real_symmetric(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(NotHermitian):
+        require_real_symmetric(np.array([[0, 1], [0, 0]]))
+
+
 def test_require_hermitian_accepts_and_rejects():
     h = np.array([[1.0, 1j], [-1j, 2.0]])
     out = require_hermitian(h)
@@ -87,6 +122,54 @@ def test_nonfinite_rejected():
 
 # ---------------------------------------------------------------------------
 # eigensolvers
+
+
+def fix_column_signs_by_column(v):
+    """The per-column form of ``_fix_column_signs``."""
+    for j in range(v.shape[1]):
+        k = int(np.argmax(np.abs(v[:, j])))
+        pivot = v[k, j]
+        if np.iscomplexobj(v):
+            mag = abs(pivot)
+            if mag > 0.0:
+                v[:, j] *= pivot.conjugate() / mag
+        elif pivot < 0.0:
+            v[:, j] = -v[:, j]
+    return v
+
+
+def tied_columns(dtype):
+    """Columns whose largest magnitude is attained twice or more."""
+    v = np.array(
+        [[-1.0, 0.5, 2.0, 0.0], [1.0, -0.5, -2.0, 0.0], [0.25, 0.5, 2.0, 0.0]], dtype=dtype
+    )
+    if v.dtype.kind == "c":
+        v[:, 1] *= np.array([1j, -1, -1j])
+        v[:, 2] *= np.array([-1j, 1j, 1])
+    return v
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_fix_column_signs_matches_per_column_loop(dtype):
+    rng = np.random.default_rng(43)
+    cases = [tied_columns(dtype), np.zeros((0, 0), dtype=dtype)]
+    for n in (1, 2, 5, 16, 33):
+        v = rng.normal(size=(n, n))
+        if dtype is np.complex128:
+            v = v + 1j * rng.normal(size=(n, n))
+        cases.append(v)
+    for v in cases:
+        expected = fix_column_signs_by_column(v.copy())
+        got = _fix_column_signs(v.copy())
+        assert got.dtype == v.dtype and got.tobytes() == expected.tobytes()
+
+
+def test_fix_column_signs_ties_pick_first_index():
+    real = _fix_column_signs(tied_columns(np.float64))
+    np.testing.assert_array_equal(real[0], [1.0, 0.5, 2.0, 0.0])
+    herm = _fix_column_signs(tied_columns(np.complex128))
+    np.testing.assert_array_equal(herm[0], [1.0, 0.5, 2.0, 0.0])
+    np.testing.assert_array_equal(herm[:, 3], 0.0)
 
 
 @pytest.mark.parametrize("n", [2, 5, 9, 14])

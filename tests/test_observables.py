@@ -107,6 +107,23 @@ def test_protocol_sampled_mode_is_seeded():
     assert a.std_error_bound > 0.0
 
 
+@pytest.mark.parametrize("shots", [2.5, True])
+def test_protocol_rejects_non_integer_shots(shots):
+    rng = np.random.default_rng(924)
+    with pytest.raises(ValueError, match="integer"):
+        expectation_protocol(random_density(3, rng), random_observable_matrix(3, rng), shots=shots)
+
+
+def test_protocol_reports_numpy_integer_shots_as_int():
+    rng = np.random.default_rng(925)
+    rho = random_density(3, rng)
+    o = random_observable_matrix(3, rng)
+    a = expectation_protocol(rho, o, shots=np.int32(500), seed=3)
+    b = expectation_protocol(rho, o, shots=500, seed=3)
+    assert type(a.shots) is int and a.shots == 500
+    assert a.value == b.value and a.std_error_bound == b.std_error_bound
+
+
 def test_protocol_sampled_mode_within_error_bound():
     """Sampled estimates stay within 5x the stated bound."""
     rng = np.random.default_rng(923)

@@ -228,6 +228,18 @@ def test_measure_validates_shots():
         measure(uniform_state(2), shots=0)
 
 
+@pytest.mark.parametrize("shots", [2.5, 3.0, True, False, np.float64(4.0), "10"])
+def test_measure_rejects_non_integer_shots(shots):
+    with pytest.raises(ValueError, match="integer"):
+        measure(uniform_state(3), shots=shots, seed=1)
+
+
+def test_measure_accepts_numpy_integer_shots():
+    record = measure(uniform_state(3), shots=np.int64(7), seed=1)
+    assert record.shots == 7 and type(record.shots) is int
+    assert np.array_equal(record.counts, measure(uniform_state(3), shots=7, seed=1).counts)
+
+
 def test_measurement_record_checks_totals():
     with pytest.raises(ValueError):
         MeasurementRecord(shots=10, counts=np.array([3, 3]), seed=None)
