@@ -80,8 +80,8 @@ def _resolve_seed(args) -> int | None:
         raise _CliError(2, f"SES_SEED must be an integer, got {raw!r}") from exc
 
 
-def _load_pure_state(path) -> SESState:
-    amps = state_from_obj(load_json(path))
+def _pure_state(obj) -> SESState:
+    amps = state_from_obj(obj)
     norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if norm_err > NORM_GATE:
         raise _CliError(5, f"state norm**2 deviates from 1 by {norm_err:.3e} (> {NORM_GATE})")
@@ -91,11 +91,7 @@ def _load_pure_state(path) -> SESState:
 def _load_state_or_density(path) -> SESState | DensityMatrixState:
     obj = load_json(path)
     if isinstance(obj, dict) and "amplitudes" in obj:
-        amps = state_from_obj(obj)
-        norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
-        if norm_err > NORM_GATE:
-            raise _CliError(5, f"state norm**2 deviates from 1 by {norm_err:.3e}")
-        return SESState.normalized(amps)
+        return _pure_state(obj)
     m = matrix_from_obj(obj)
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > NORM_GATE:
@@ -133,7 +129,7 @@ def cmd_compile(args) -> int:
 
 
 def cmd_prepare(args) -> int:
-    target = _load_pure_state(args.state_file)
+    target = _pure_state(load_json(args.state_file))
     device = DeviceParams(g_max_mhz_over_2pi=args.gmax)
     mode = args.mode.replace("-", "_")
     schedule, plan = prepare_state_schedule(target, device, mode=mode)
@@ -166,7 +162,7 @@ def cmd_simulate(args) -> int:
     try:
         index = int(raw)
     except ValueError:
-        initial = _load_pure_state(raw)
+        initial = _pure_state(load_json(raw))
         if initial.n != schedule.n:
             raise _CliError(2, f"initial state is {initial.n}-dimensional, schedule is {schedule.n}")
         source = raw

@@ -11,7 +11,12 @@ Three document shapes, all plain JSON so doubles round-trip bit-exactly
   with steps in execution order.  Angles are canonical; the stored
   duration is checked against the angles on load.
 
-All loaders raise :class:`ValueError` on malformed input.
+Every number is read by one rule: a JSON integer or float, never a
+boolean, a string or ``null``, in an array of exactly the expected shape.
+Integers beyond float range are rejected too, so the ``*_from_obj``
+readers raise :class:`ValueError` on malformed input and nothing else.
+Complex values are read and written as the trailing ``[re, im]`` axis of a
+float64 array, which keeps every bit, ``-0.0`` and subnormals included.
 """
 from __future__ import annotations
 
@@ -31,42 +36,37 @@ def _require(cond: bool, message: str) -> None:
         raise ValueError(message)
 
 
-def _is_number_type(t: type) -> bool:
-    """JSON number type test; ``bool`` subclasses ``int`` but ``true``/``false`` are not numbers."""
-    return issubclass(t, (int, float)) and not issubclass(t, bool)
-
-
-def _is_number(x) -> bool:
-    return _is_number_type(type(x))
-
-
 def _is_size(n) -> bool:
     return isinstance(n, int) and not isinstance(n, bool) and n >= 1
 
 
-def _pairs_to_complex(rows, expect_len: int, what: str) -> np.ndarray:
-    out = np.empty(len(rows), dtype=np.complex128)
-    _require(len(rows) == expect_len, f"{what}: expected {expect_len} entries, got {len(rows)}")
-    for i, pair in enumerate(rows):
-        _require(
-            isinstance(pair, (list, tuple)) and len(pair) == 2,
-            f"{what}[{i}] must be a [re, im] pair",
-        )
-        re, im = pair
-        _require(
-            _is_number(re) and _is_number(im),
-            f"{what}[{i}] must hold two numbers",
-        )
-        out[i] = complex(re, im)
-    return out
+def _numbers(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float64 array of ``shape``; every leaf must be a JSON number."""
+    a = np.array(value, dtype=object)
+    types = set(map(type, a.flat))
+    # bool subclasses int, but JSON true/false are not numbers
+    if a.shape != shape or bool in types or not all(issubclass(t, (int, float)) for t in types):
+        raise ValueError(f"{what} must be an array of numbers of shape {'x'.join(map(str, shape))}"
+                         if shape else f"{what} must be a number")
+    try:
+        return a.astype(np.float64)
+    except OverflowError as exc:
+        raise ValueError(f"{what} holds a number beyond float range") from exc
+
+
+def _complex(value, shape: tuple, what: str) -> np.ndarray:
+    """Complex array of ``shape`` read from ``[re, im]`` pairs, bit for bit."""
+    return _numbers(value, shape + (2,), what).view(np.complex128).reshape(shape)
+
+
+def _pairs(a: np.ndarray) -> list:
+    """Nested ``[re, im]`` lists of a complex array, the layout :func:`_complex` reads."""
+    return np.stack((a.real, a.imag), -1).tolist()
 
 
 def matrix_to_obj(m: np.ndarray) -> dict:
     m = np.asarray(m, dtype=np.complex128)
-    return {
-        "n": int(m.shape[0]),
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in m],
-    }
+    return {"n": int(m.shape[0]), "entries": _pairs(m)}
 
 
 def matrix_from_obj(obj) -> np.ndarray:
@@ -74,21 +74,12 @@ def matrix_from_obj(obj) -> np.ndarray:
     _require("n" in obj and "entries" in obj, "matrix document needs 'n' and 'entries'")
     n = obj["n"]
     _require(_is_size(n), "'n' must be a positive integer")
-    rows = obj["entries"]
-    _require(isinstance(rows, list) and len(rows) == n, f"'entries' must hold {n} rows")
-    out = np.empty((n, n), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        _require(isinstance(row, list), f"row {i} must be a list")
-        out[i] = _pairs_to_complex(row, n, f"row {i}")
-    return out
+    return _complex(obj["entries"], (n, n), "'entries'")
 
 
 def state_to_obj(amplitudes: np.ndarray) -> dict:
     a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-    return {
-        "n": int(a.size),
-        "amplitudes": [[float(z.real), float(z.imag)] for z in a],
-    }
+    return {"n": int(a.size), "amplitudes": _pairs(a)}
 
 
 def state_from_obj(obj) -> np.ndarray:
@@ -96,9 +87,7 @@ def state_from_obj(obj) -> np.ndarray:
     _require("n" in obj and "amplitudes" in obj, "state document needs 'n' and 'amplitudes'")
     n = obj["n"]
     _require(_is_size(n), "'n' must be a positive integer")
-    amps = obj["amplitudes"]
-    _require(isinstance(amps, list), "'amplitudes' must be a list")
-    return _pairs_to_complex(amps, n, "amplitudes")
+    return _complex(obj["amplitudes"], (n,), "'amplitudes'")
 
 
 def schedule_to_obj(schedule: PulseSchedule, source: str = "", seed: int | None = None) -> dict:
@@ -128,43 +117,29 @@ def schedule_from_obj(obj) -> PulseSchedule:
         _require(key in obj, f"schedule document needs '{key}'")
     n = obj["n"]
     _require(_is_size(n), "'n' must be a positive integer")
-    gmax = obj["g_max_mhz_over_2pi"]
-    _require(_is_number(gmax) and gmax > 0, "'g_max_mhz_over_2pi' must be positive")
-    device = DeviceParams(g_max_mhz_over_2pi=float(gmax))
+    gmax = float(_numbers(obj["g_max_mhz_over_2pi"], (), "'g_max_mhz_over_2pi'"))
+    _require(gmax > 0, "'g_max_mhz_over_2pi' must be positive")
+    device = DeviceParams(g_max_mhz_over_2pi=gmax)
     steps = []
     _require(isinstance(obj["steps"], list), "'steps' must be a list")
     for idx, raw in enumerate(obj["steps"]):
         _require(isinstance(raw, dict), f"step {idx} must be an object")
         for key in ("label", "theta", "K"):
             _require(key in raw, f"step {idx} needs '{key}'")
-        k_rows = raw["K"]
-        _require(
-            isinstance(k_rows, list) and len(k_rows) == n
-            and all(isinstance(r, list) and len(r) == n for r in k_rows)
-            and all(map(_is_number_type, {type(x) for r in k_rows for x in r})),
-            f"step {idx}: K must be an {n}x{n} array of numbers",
-        )
-        _require(_is_number(raw["theta"]), f"step {idx}: 'theta' must be a number")
+        k = _numbers(raw["K"], (n, n), f"step {idx}: K")
+        theta = float(_numbers(raw["theta"], (), f"step {idx}: 'theta'"))
         _require(isinstance(raw["label"], str), f"step {idx}: 'label' must be a string")
         try:
-            steps.append(
-                PulseStep(
-                    k=np.asarray(k_rows, dtype=np.float64),
-                    theta=float(raw["theta"]),
-                    label=raw["label"],
-                )
-            )
+            steps.append(PulseStep(k=k, theta=theta, label=raw["label"]))
         except (SesqcError, ValueError, TypeError) as exc:
             raise ValueError(f"step {idx} is invalid: {exc}") from exc
     schedule = PulseSchedule(n=n, steps=tuple(steps), device=device)
-    for key in ("total_theta", "duration_ns"):
-        _require(_is_number(obj[key]), f"'{key}' must be a number")
-    total = float(obj["total_theta"])
+    total = float(_numbers(obj["total_theta"], (), "'total_theta'"))
     _require(
         abs(total - schedule.total_angle) <= CONSISTENCY_RTOL * max(1.0, abs(total)),
         "'total_theta' disagrees with the sum of step angles",
     )
-    duration = float(obj["duration_ns"])
+    duration = float(_numbers(obj["duration_ns"], (), "'duration_ns'"))
     _require(
         abs(duration - schedule_duration_ns(schedule)) <= CONSISTENCY_RTOL * max(1.0, abs(duration)),
         "'duration_ns' disagrees with the stored angles and g_max",

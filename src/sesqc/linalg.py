@@ -51,36 +51,36 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def require_real_symmetric(a, tol: float = SYMMETRY_TOL, name: str = "matrix") -> np.ndarray:
+def require_real_symmetric(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a float64 symmetrised copy of ``a``."""
     m = np.asarray(a)
     if m.dtype.kind in "fiu":
         r = _as_square(np.asarray(m, dtype=np.float64), name)
     else:
         c = _as_square(np.asarray(m, dtype=np.complex128), name)
-        if max_abs(c.imag) > tol:
-            raise NotHermitian(f"{name} has imaginary entries above {tol}")
+        if max_abs(c.imag) > SYMMETRY_TOL:
+            raise NotHermitian(f"{name} has imaginary entries above {SYMMETRY_TOL}")
         r = c.real
-    if max_abs(r - r.T) > tol:
-        raise NotHermitian(f"{name} is not symmetric within {tol}")
+    if max_abs(r - r.T) > SYMMETRY_TOL:
+        raise NotHermitian(f"{name} is not symmetric within {SYMMETRY_TOL}")
     return np.array((r + r.T) / 2.0, dtype=np.float64, order="C")
 
 
-def require_hermitian(a, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Validate and return a complex128 Hermitised copy of ``a``."""
     m = _as_square(np.asarray(a, dtype=np.complex128), name)
-    if max_abs(m - m.conj().T) > tol:
-        raise NotHermitian(f"{name} is not Hermitian within {tol}")
+    if max_abs(m - m.conj().T) > HERMITIAN_TOL:
+        raise NotHermitian(f"{name} is not Hermitian within {HERMITIAN_TOL}")
     return np.array((m + m.conj().T) / 2.0, dtype=np.complex128, order="C")
 
 
-def require_unitary(a, tol: float = UNITARY_TOL, name: str = "matrix") -> np.ndarray:
-    """Validate ``a`` is unitary to ``tol`` in max norm; return complex copy."""
+def require_unitary(a, name: str = "matrix") -> np.ndarray:
+    """Validate ``a`` is unitary to ``UNITARY_TOL`` in max norm; return complex copy."""
     m = _as_square(np.asarray(a, dtype=np.complex128), name)
     n = m.shape[0]
     defect = max_abs(m.conj().T @ m - np.eye(n))
-    if defect > tol:
-        raise NotUnitary(f"{name} fails unitarity: max|U†U - I| = {defect:.3e} > {tol}")
+    if not defect <= UNITARY_TOL:  # also catches NaN from an overflowing U†U
+        raise NotUnitary(f"{name} fails unitarity: max|U†U - I| = {defect:.3e} > {UNITARY_TOL}")
     return np.array(m, dtype=np.complex128, order="C")
 
 
@@ -159,32 +159,28 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             f"max|PQ - QP| = {comm:.3e} exceeds {bound:.3e}; no shared eigenbasis"
         )
 
+    # .conj() of a real array is the array itself, so one path serves both cases
     real_case = max_abs(pm.imag) == 0.0 and max_abs(qm.imag) == 0.0
     if real_case:
-        pw = require_real_symmetric(pm.real, name="P")
-        qw = require_real_symmetric(qm.real, name="Q")
-        basis, p_sorted = symmetric_eig(pw)
-    else:
-        pw = require_hermitian(pm, name="P")
-        qw = require_hermitian(qm, name="Q")
-        basis, p_sorted = hermitian_eig(pw)
+        pm, qm = pm.real, qm.real
+    validate, eig = ((require_real_symmetric, symmetric_eig) if real_case
+                     else (require_hermitian, hermitian_eig))
+    pw = validate(pm, name="P")
+    qw = validate(qm, name="Q")
+    basis, p_sorted = eig(pw)
 
     ctol = CLUSTER_RTOL * max_abs(pw)
     for lo, hi in _cluster_bounds(p_sorted, ctol):
         if hi - lo < 2:
             continue
         block = basis[:, lo:hi]
-        if real_case:
-            restricted = block.T @ qw @ block
-            rot, _ = symmetric_eig((restricted + restricted.T) / 2.0)
-        else:
-            restricted = block.conj().T @ qw @ block
-            rot, _ = hermitian_eig((restricted + restricted.conj().T) / 2.0)
+        restricted = block.conj().T @ qw @ block
+        rot, _ = eig((restricted + restricted.conj().T) / 2.0)
         basis[:, lo:hi] = block @ rot
 
     basis = _fix_column_signs(basis)
 
-    bh = basis.T if real_case else basis.conj().T
+    bh = basis.conj().T
     p_full = bh @ pw @ basis
     q_full = bh @ qw @ basis
     p_vals = np.diagonal(p_full).real.copy()

@@ -33,7 +33,6 @@ class DeviceParams:
     """Hardware coupling ceiling, stored as g_max / 2*pi in MHz."""
 
     g_max_mhz_over_2pi: float = DEFAULT_GMAX_MHZ
-    name: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.g_max_mhz_over_2pi) and self.g_max_mhz_over_2pi > 0):

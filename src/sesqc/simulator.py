@@ -21,6 +21,7 @@ DENSITY_TOL = 1e-10
 EIGENVALUE_FLOOR = -1e-9
 
 RNG_NAME = "numpy-pcg64"
+SHOTS_MAX = int(np.iinfo(np.int64).max)  # numpy's multinomial counts in int64
 
 
 def _hermitian_unit_trace(matrix) -> np.ndarray:
@@ -130,8 +131,8 @@ def measure(state: SESState | DensityMatrixState, shots: int, seed: int | None =
     """Sample ``shots`` qubit-basis measurements; reproducible for a fixed seed."""
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)):
         raise ValueError(f"shots must be an integer, got {shots!r}")
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
+    if not 1 <= shots <= SHOTS_MAX:
+        raise ValueError(f"shots must be in 1..{SHOTS_MAX}, got {shots}")
     p = np.clip(occupations(state), 0.0, None)
     p = p / p.sum()
     rng = np.random.default_rng(seed)

@@ -8,9 +8,10 @@ import pytest
 import golden
 import sesqc.pulses
 from sesqc.cli import main
-from sesqc.formats import load_schedule, save_matrix, save_state
+from sesqc.formats import load_schedule, save_matrix, save_schedule, save_state
 from sesqc.linalg import global_phase_fidelity, random_unitary
 from sesqc.observables import expectation_exact
+from sesqc.pulses import PulseSchedule
 from sesqc.simulator import DensityMatrixState
 from sesqc.stateprep import SESState
 
@@ -257,6 +258,48 @@ def test_simulate_honours_ses_seed_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SES_SEED", "not-a-number")
     code, _, _ = run_cli(capsys, "simulate", str(sched_path), "--shots", "200")
     assert code == 2
+
+
+def test_shots_beyond_int64_exit_2(tmp_path, capsys):
+    sched_path = tmp_path / "prep.json"
+    run_cli(capsys, "prepare", str(write_target(tmp_path)), "--out", str(sched_path))
+    obs_path, _ = make_observable(tmp_path, n=5)
+    for argv in (("simulate", str(sched_path)),
+                 ("expect", str(obs_path), str(write_target(tmp_path)))):
+        code, _, err = run_cli(capsys, *argv, "--shots", str(10**20), "--seed", "1")
+        assert code == 2
+        assert "shots must be in" in err
+
+
+def test_integers_beyond_float_range_exit_2(tmp_path, capsys):
+    """JSON integers too large for a double are malformed input in every subcommand."""
+    huge = 10**400
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps({"n": 1, "entries": [[[huge, 0]]]}))
+    state = tmp_path / "s.json"
+    state.write_text(json.dumps({"n": 1, "amplitudes": [[1, huge]]}))
+    empty = tmp_path / "empty.json"
+    save_schedule(empty, PulseSchedule(n=1, steps=()))
+    sched = tmp_path / "sched.json"
+    sched.write_text(json.dumps({
+        "n": 1, "g_max_mhz_over_2pi": 50.0,
+        "steps": [{"label": "", "theta": huge, "K": [[1]]}],
+        "total_theta": 1.0, "duration_ns": 1.0,
+    }))
+    good_obs, good_state = tmp_path / "obs.json", tmp_path / "good.json"
+    save_matrix(good_obs, np.eye(1))
+    save_state(good_state, [1.0])
+    out = str(tmp_path / "out.json")
+    for argv in (("compile", str(matrix), "--out", out),
+                 ("prepare", str(state), "--out", out),
+                 ("simulate", str(sched)),
+                 ("simulate", str(empty), "--initial", str(state)),
+                 ("expect", str(matrix), str(good_state), "--exact"),
+                 ("expect", str(good_obs), str(state), "--exact"),
+                 ("expect", str(good_obs), str(matrix), "--exact")):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert "error" in err
 
 
 def test_simulate_rejects_bad_initial_index(tmp_path, capsys):

@@ -92,6 +92,39 @@ def test_obj_round_trips_without_files():
     assert np.array_equal(state_from_obj(state_to_obj(a)), a)
 
 
+def test_signed_zeros_and_subnormals_round_trip(tmp_path):
+    """-0.0 and subnormals keep every bit, and the written text is fixed."""
+    m = np.array([[complex(-0.0, 5e-324), complex(1e-310, -0.0)],
+                  [complex(1.0, 0.0), complex(-2.5e-320, -1.5)]])
+    a = np.array([complex(-0.0, -0.0), complex(4e-320, 0.5)])
+    m_path, a_path = tmp_path / "m.json", tmp_path / "a.json"
+    save_matrix(m_path, m)
+    save_state(a_path, a)
+    assert m_path.read_text() == (
+        '{"n":2,"entries":[[[-0.0,5e-324],[1e-310,-0.0]],[[1.0,0.0],[-2.5e-320,-1.5]]]}\n'
+    )
+    assert a_path.read_text() == '{"n":2,"amplitudes":[[-0.0,-0.0],[4e-320,0.5]]}\n'
+    assert load_matrix(m_path).tobytes() == m.tobytes()
+    assert load_state(a_path).tobytes() == a.tobytes()
+
+
+def test_loaders_reject_integers_beyond_float_range():
+    huge = 10**400
+    with pytest.raises(ValueError, match="beyond float range"):
+        matrix_from_obj({"n": 1, "entries": [[[huge, 0]]]})
+    with pytest.raises(ValueError, match="beyond float range"):
+        state_from_obj({"n": 1, "amplitudes": [[0, -huge]]})
+    one = schedule_to_obj(PulseSchedule(n=1, steps=(PulseStep(k=np.ones((1, 1)), theta=1.0),)))
+    for key in ("g_max_mhz_over_2pi", "total_theta", "duration_ns"):
+        with pytest.raises(ValueError, match=key):
+            schedule_from_obj(dict(one, **{key: huge}))
+    for theta, k in ((huge, [[1]]), (1.0, [[huge]])):
+        doc = json.loads(json.dumps(one))
+        doc["steps"][0].update(theta=theta, K=k)
+        with pytest.raises(ValueError, match="beyond float range"):
+            schedule_from_obj(doc)
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -110,6 +110,13 @@ def test_require_unitary():
         require_unitary(np.eye(3) * 1.001)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_require_unitary_rejects_overflowing_product():
+    """Finite entries near 1e308 overflow U†U to NaN, which must not pass as a zero defect."""
+    with pytest.raises(NotUnitary, match="nan"):
+        require_unitary(np.array([[1e308 + 1e308j, 0.5], [0.5, 1.0]]))
+
+
 def test_nonsquare_raises_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         require_real_symmetric(np.zeros((2, 3)))

@@ -240,6 +240,16 @@ def test_measure_accepts_numpy_integer_shots():
     assert np.array_equal(record.counts, measure(uniform_state(3), shots=7, seed=1).counts)
 
 
+def test_measure_bounds_shots_by_int64():
+    """The sampler counts in int64: one more shot is a ValueError, not an OverflowError."""
+    with pytest.raises(ValueError, match="shots must be in"):
+        measure(uniform_state(3), shots=2**63, seed=1)
+    with pytest.raises(ValueError, match="shots must be in"):
+        measure(uniform_state(3), shots=10**20, seed=1)
+    record = measure(SESState.basis(3, 2), shots=2**63 - 1, seed=1)
+    assert record.shots == 2**63 - 1 and record.counts[2] == 2**63 - 1
+
+
 def test_measurement_record_checks_totals():
     with pytest.raises(ValueError):
         MeasurementRecord(shots=10, counts=np.array([3, 3]), seed=None)
