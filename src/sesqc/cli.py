@@ -4,7 +4,8 @@ Subcommands: ``compile``, ``prepare``, ``simulate``, ``expect`` and
 ``bench-decompose``.  Exit codes:
 
 * 0 — success
-* 2 — parse error (bad JSON, malformed documents, bad arguments)
+* 2 — parse error (bad JSON, malformed documents, bad arguments), or a
+  document whose size needs more memory than can be allocated
 * 3 — input matrix not unitary
 * 4 — verification failure (compiled schedule does not reproduce its target)
 * 5 — state not normalised (or density matrix invalid) beyond 1e-6
@@ -317,7 +318,7 @@ def main(argv=None) -> int:
         print(f"error: verification failed: {exc}", file=sys.stderr)
         return 4
     except (ValueError, KeyError, TypeError, DimensionMismatch,
-            OSError, json.JSONDecodeError) as exc:
+            OSError, json.JSONDecodeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -152,7 +152,10 @@ def save_json(path, obj: dict) -> None:
 
 
 def load_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    try:
+        return json.loads(Path(path).read_text())
+    except RecursionError as exc:
+        raise ValueError("JSON document is nested too deeply") from exc
 
 
 def save_matrix(path, m: np.ndarray) -> None:

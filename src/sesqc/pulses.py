@@ -24,6 +24,7 @@ from .linalg import expm_generator, max_abs, require_real_symmetric
 
 ZERO_ANGLE_TOL = 1e-12
 K_RANGE_SLACK = 1e-9
+TWO_PI = 2.0 * np.pi
 
 DEFAULT_GMAX_MHZ = 50.0
 
@@ -60,6 +61,19 @@ class PulseStep:
         if not np.isfinite(theta) or theta < 0.0:
             raise ValueError(f"theta must be finite and >= 0, got {theta}")
         object.__setattr__(self, "theta", theta)
+
+    @classmethod
+    def _checked(cls, k: np.ndarray, theta: float, label: str = "") -> "PulseStep":
+        """Step from a K that sesqc built: exactly symmetric, finite float64 in [-1, 1].
+
+        Skips the validation of ``__post_init__``; only for K that needs none.
+        """
+        k.flags.writeable = False
+        step = object.__new__(cls)
+        object.__setattr__(step, "k", k)
+        object.__setattr__(step, "theta", float(theta))
+        object.__setattr__(step, "label", label)
+        return step
 
     @property
     def n(self) -> int:
@@ -155,6 +169,28 @@ def compile_symmetric_generator(a, device: DeviceParams | None = None, label: st
     if abs(peak - 1.0) > 1e-12:
         raise DecompositionError(f"compiled K has max|K| = {peak!r}, not the saturated 1")
     return step
+
+
+def compile_diagonal_phases(phases, label: str = "") -> PulseStep:
+    """Minimal pulse for ``diag(exp(-1j*phases))`` up to a global phase.
+
+    The phases, taken mod 2*pi, lie on the shortest arc of the circle that
+    holds them (2*pi minus the largest gap between neighbours).  Shifting
+    them to the arc's centre and saturating K gives ``theta`` = half that
+    arc, at most ``pi * (1 - 1/n)``.  Phases within ``ZERO_ANGLE_TOL`` of
+    each other compile to a zero-duration step.
+    """
+    p = np.mod(np.asarray(phases, dtype=np.float64), TWO_PI)
+    n = p.size
+    ordered = np.sort(p)
+    gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
+    widest = int(np.argmax(gaps))
+    centre = ordered[(widest + 1) % n] + (TWO_PI - gaps[widest]) / 2.0
+    shifted = np.pi - np.mod(np.pi - (p - centre), TWO_PI)  # wrapped into (-pi, pi]
+    theta = float(np.max(np.abs(shifted)))
+    if theta <= ZERO_ANGLE_TOL:
+        return PulseStep._checked(np.zeros((n, n)), 0.0, label)
+    return PulseStep._checked(np.diag(shifted / theta), theta, label)
 
 
 def schedule_duration_ns(schedule: PulseSchedule) -> float:

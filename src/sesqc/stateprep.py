@@ -6,8 +6,9 @@ partial-swap pulse per move) drains weight into exactly 1/n per component,
 and one final diagonal pulse removes the residual phases, reaching the
 uniform superposition.  Running the daggered sequence after a single
 "star" pulse (which maps |1) to the uniform superposition) prepares the
-target.  Its net unitary can be recompiled into three pulses through the
-ABA generators of :mod:`sesqc.decompose`.
+target; its diagonal pulses are emitted in minimal form, at full coupling,
+up to a global phase.  Its net unitary can be recompiled into three pulses
+through the ABA generators of :mod:`sesqc.decompose`.
 
 Basis states are indexed 0..n-1 in code; |1) is index 0.
 """
@@ -25,13 +26,11 @@ from .errors import (
     NonUniformWeights,
     SesqcError,
 )
-from .pulses import DeviceParams, PulseSchedule, PulseStep
+from .pulses import TWO_PI, DeviceParams, PulseSchedule, PulseStep, compile_diagonal_phases
 
 NORM_TOL = 1e-10
 UNIFORM_WEIGHT_TOL = 1e-10
 SWAP_RESIDUAL_TOL = 1e-12
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,14 @@ def uniform_state(n: int) -> SESState:
 
 
 def _dagger(step: PulseStep) -> PulseStep:
-    """Inverse pulse: same angle, negated coupling matrix."""
-    return PulseStep(k=-np.asarray(step.k), theta=step.theta, label=step.label + "_dagger")
+    """Inverse pulse: same angle, negated coupling matrix (zeros stay +0.0)."""
+    return PulseStep._checked(0.0 - step.k, step.theta, step.label + "_dagger")
+
+
+def _diagonal_dagger(step: PulseStep) -> PulseStep:
+    """Inverse of a diagonal pulse at full coupling: at most pi * (1 - 1/n),
+    or 2*pi/3 for a ``u_diag`` with two nonzero entries, not its fixed 2*pi or 3*pi."""
+    return compile_diagonal_phases(-step.theta * np.diagonal(step.k), step.label + "_dagger")
 
 
 def star_uniform_step(n: int) -> PulseStep:
@@ -119,7 +124,7 @@ def star_uniform_step(n: int) -> PulseStep:
     k[0, 0] = 1.0
     k[0, 1:] = 0.5
     k[1:, 0] = 0.5
-    return PulseStep(k=k, theta=np.pi / np.sqrt(n), label="star")
+    return PulseStep._checked(k, np.pi / np.sqrt(n), "star")
 
 
 def uniform_weight_phases_step(target: SESState) -> PulseStep:
@@ -156,7 +161,7 @@ def reduction_step(state: SESState) -> tuple[PulseStep, PulseStep, SESState]:
     k_diag = np.zeros((n, n))
     k_diag[i_min, i_min] = phases[i_min] / (3.0 * np.pi)
     k_diag[i_max, i_max] = phases[i_max] / (3.0 * np.pi) - 1.0 / 6.0
-    u_diag = PulseStep(k=k_diag, theta=3.0 * np.pi, label="u_diag")
+    u_diag = PulseStep._checked(k_diag, 3.0 * np.pi, "u_diag")
 
     lo = float(np.sqrt(w[i_min]))
     hi = float(np.sqrt(w[i_max]))
@@ -170,7 +175,7 @@ def reduction_step(state: SESState) -> tuple[PulseStep, PulseStep, SESState]:
     k_swap = np.zeros((n, n))
     k_swap[i_min, i_max] = 1.0
     k_swap[i_max, i_min] = 1.0
-    u_swap = PulseStep(k=k_swap, theta=phi, label="u_swap")
+    u_swap = PulseStep._checked(k_swap, phi, "u_swap")
 
     amps = np.array(state.amplitudes, copy=True)
     amps[i_min] = root
@@ -194,16 +199,16 @@ def reduce_to_uniform(target: SESState) -> tuple[list[tuple[PulseStep, PulseStep
             )
         u_diag, u_swap, state = reduction_step(state)
         pairs.append((u_diag, u_swap))
-    w_diag = PulseStep(k=np.diag(state.phases / TWO_PI), theta=TWO_PI, label="w_diag")
+    w_diag = PulseStep._checked(np.diag(state.phases / TWO_PI), TWO_PI, "w_diag")
     return pairs, w_diag
 
 
 def _linear_steps(star: PulseStep, pairs, w_diag: PulseStep) -> list[PulseStep]:
     """Forward pulse sequence in execution order (first pulse first)."""
-    steps = [star, _dagger(w_diag)]
+    steps = [star, _diagonal_dagger(w_diag)]
     for u_diag, u_swap in reversed(pairs):
         steps.append(_dagger(u_swap))
-        steps.append(_dagger(u_diag))
+        steps.append(_diagonal_dagger(u_diag))
     return steps
 
 

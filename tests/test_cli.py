@@ -91,6 +91,15 @@ def test_compile_rejects_bad_json(tmp_path, capsys):
     assert code == 2
 
 
+def test_compile_rejects_deeply_nested_json(tmp_path, capsys):
+    """JSON nested beyond the parser's recursion limit is malformed input, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, _, err = run_cli(capsys, "compile", str(path), "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_compile_rejects_boolean_entries(tmp_path, capsys):
     path = tmp_path / "bool.json"
     path.write_text('{"n": 1, "entries": [[[true, false]]]}')
@@ -300,6 +309,17 @@ def test_integers_beyond_float_range_exit_2(tmp_path, capsys):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2, argv
         assert "error" in err
+
+
+def test_simulate_unallocatable_schedule_exits_2(tmp_path, capsys):
+    """An empty schedule whose n x n product (1.42 PiB) cannot be allocated exits 2."""
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10_000_000, "g_max_mhz_over_2pi": 50.0, "steps": [],
+                                "total_theta": 0.0, "duration_ns": 0.0}))
+    code, out, err = run_cli(capsys, "simulate", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_simulate_rejects_bad_initial_index(tmp_path, capsys):

@@ -14,6 +14,7 @@ from sesqc.pulses import (
     DeviceParams,
     PulseSchedule,
     PulseStep,
+    compile_diagonal_phases,
     compile_symmetric_generator,
     optimal_shift,
     rotation_angle,
@@ -237,6 +238,62 @@ def test_closed_form_pulses_stay_unitary_at_large_angle(kind, theta):
     steps = tuple(PulseStep(k=k_of_kind(kind, 8, rng), theta=theta) for _ in range(10))
     u = PulseSchedule(n=8, steps=steps).unitary
     assert max_abs(u.conj().T @ u - np.eye(8)) <= 1e-13
+
+
+@st.composite
+def phase_vectors(draw):
+    """Phases in [-4*pi, 4*pi]: arbitrary, all equal, one distinct, straddling
+    0 = 2*pi, or 1e-15 apart."""
+    n = draw(st.integers(1, 64))
+    kind = draw(st.sampled_from(["any", "equal", "one_distinct", "straddle", "close"]))
+    value = st.floats(-4 * np.pi, 4 * np.pi, allow_nan=False)
+    if kind == "any":
+        return np.array(draw(st.lists(value, min_size=n, max_size=n)))
+    base = draw(value)
+    if kind == "equal":
+        return np.full(n, base)
+    if kind == "one_distinct":
+        p = np.full(n, base)
+        p[draw(st.integers(0, n - 1))] = draw(value)
+        return p
+    if kind == "straddle":
+        turns = np.array(draw(st.lists(st.integers(-1, 1), min_size=n, max_size=n)))
+        offsets = np.array(draw(st.lists(st.floats(-0.5, 0.5), min_size=n, max_size=n)))
+        return 2 * np.pi * turns + offsets
+    return base + 1e-15 * np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+
+
+@settings(deadline=None, max_examples=300)
+@given(phase_vectors())
+def test_compile_diagonal_phases_is_minimal(phases):
+    n = phases.size
+    step = compile_diagonal_phases(phases)
+    assert np.array_equal(step.k, np.diag(np.diagonal(step.k)))
+    assert step.theta == 0.0 or max_abs(step.k) == 1.0
+    u = expm_generator(step.theta, step.k)
+    ratio = np.diagonal(u) * np.exp(1j * phases)  # one global phase
+    assert max_abs(u - np.diag(np.diagonal(u))) <= 1e-12
+    assert max_abs(ratio - ratio[0]) <= 1e-12
+    # the widest gap from each distinct phase to its nearest neighbour
+    # counterclockwise; a second mod folds a rounded 2*pi onto 0
+    p = np.unique(np.mod(np.mod(phases, 2 * np.pi), 2 * np.pi))
+    ahead = np.mod(p[None, :] - p[:, None], 2 * np.pi)
+    np.fill_diagonal(ahead, 2 * np.pi)
+    widest = float(np.max(np.min(ahead, axis=1)))
+    if step.theta > 0.0:
+        assert step.theta == pytest.approx((2 * np.pi - widest) / 2, abs=1e-12)
+    else:
+        assert (2 * np.pi - widest) / 2 <= 1e-12
+    assert step.theta <= np.pi * (1 - 1 / n) + 1e-12
+
+
+def test_compile_diagonal_phases_examples():
+    step = compile_diagonal_phases([0.0, 0.5, 2 * np.pi - 0.5], label="d")
+    assert step.label == "d" and step.theta == pytest.approx(0.5)
+    np.testing.assert_allclose(np.diagonal(step.k), [0.0, 1.0, -1.0], atol=1e-15)
+    assert compile_diagonal_phases([3.0, 3.0 + 2 * np.pi]).theta == 0.0
+    third = compile_diagonal_phases([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
+    assert third.theta == pytest.approx(2 * np.pi / 3)
 
 
 def test_device_params_validation():

@@ -5,7 +5,8 @@ import pytest
 
 import golden
 from sesqc.errors import AlreadyUniform, IterationOverflow, NonUniformWeights
-from sesqc.linalg import global_phase_fidelity
+from sesqc.linalg import global_phase_fidelity, max_abs
+from sesqc.pulses import PulseStep
 from sesqc.simulator import evolve_pure, run_schedule
 from sesqc.stateprep import (
     PrepPlan,
@@ -292,3 +293,45 @@ def test_compiled_prep_unitary_equals_schedule_product():
     target = random_state(5, rng)
     schedule, plan = prepare_state_schedule(target, mode="linear")
     assert global_phase_fidelity(schedule_unitary(schedule), plan.compiled_u) >= 1 - 1e-12
+
+
+def _prep_targets():
+    rng = np.random.default_rng(34)
+    yield SESState(golden.normalized_target())
+    yield uniform_state(4)
+    yield SESState.basis(3, 2)
+    for n in (2, 3, 5, 8, 16):
+        for _ in range(4):
+            yield random_state(n, rng)
+
+
+@pytest.mark.parametrize("mode", ["linear", "three_step"])
+def test_every_emitted_pulse_is_saturated(mode):
+    """max|K| = 1 or theta = 0 for every pulse, as time optimality needs."""
+    for target in _prep_targets():
+        schedule, _ = prepare_state_schedule(target, mode=mode)
+        for step in schedule.steps:
+            assert step.theta == 0.0 or abs(max_abs(step.k) - 1.0) <= 1e-12, (target.n, step.label)
+
+
+def test_linear_total_angle_bound():
+    """Star pulse, then w_diag below pi, then per move a diagonal of at most
+    2*pi/3 and a swap below pi/2."""
+    for target in _prep_targets():
+        schedule, plan = prepare_state_schedule(target, mode="linear")
+        bound = np.pi / np.sqrt(target.n) + np.pi + 7 * np.pi / 6 * plan.m
+        assert schedule.total_angle <= bound + 1e-12, (target.n, plan.m)
+
+
+def test_checked_steps_match_public_construction():
+    """Steps built without validation hold exactly the K that validation
+    would store, with +0.0 in every zero entry."""
+    for target in _prep_targets():
+        schedule, plan = prepare_state_schedule(target, mode="linear")
+        built = [*schedule.steps, *(s for pair in plan.reduction_steps for s in pair), plan.w_diag]
+        for step in built:
+            public = PulseStep(k=step.k, theta=step.theta, label=step.label)
+            assert step.k.dtype == np.float64 and not step.k.flags.writeable
+            assert step.k.tobytes() == public.k.tobytes(), step.label
+            assert step.theta == public.theta and type(step.theta) is float
+            assert not np.any(np.signbit(step.k[step.k == 0.0])), step.label
