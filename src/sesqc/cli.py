@@ -159,6 +159,7 @@ def cmd_prepare(args) -> int:
 
 def cmd_simulate(args) -> int:
     schedule = load_schedule(args.schedule_file)
+    schedule.unitary  # cached; an unallocatable product fails before any state is built
     raw = args.initial
     try:
         index = int(raw)

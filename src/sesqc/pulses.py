@@ -62,19 +62,6 @@ class PulseStep:
             raise ValueError(f"theta must be finite and >= 0, got {theta}")
         object.__setattr__(self, "theta", theta)
 
-    @classmethod
-    def _checked(cls, k: np.ndarray, theta: float, label: str = "") -> "PulseStep":
-        """Step from a K that sesqc built: exactly symmetric, finite float64 in [-1, 1].
-
-        Skips the validation of ``__post_init__``; only for K that needs none.
-        """
-        k.flags.writeable = False
-        step = object.__new__(cls)
-        object.__setattr__(step, "k", k)
-        object.__setattr__(step, "theta", float(theta))
-        object.__setattr__(step, "label", label)
-        return step
-
     @property
     def n(self) -> int:
         return self.k.shape[0]
@@ -189,8 +176,8 @@ def compile_diagonal_phases(phases, label: str = "") -> PulseStep:
     shifted = np.pi - np.mod(np.pi - (p - centre), TWO_PI)  # wrapped into (-pi, pi]
     theta = float(np.max(np.abs(shifted)))
     if theta <= ZERO_ANGLE_TOL:
-        return PulseStep._checked(np.zeros((n, n)), 0.0, label)
-    return PulseStep._checked(np.diag(shifted / theta), theta, label)
+        return PulseStep(k=np.zeros((n, n)), theta=0.0, label=label)
+    return PulseStep(k=np.diag(shifted / theta), theta=theta, label=label)
 
 
 def schedule_duration_ns(schedule: PulseSchedule) -> float:

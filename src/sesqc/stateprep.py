@@ -103,7 +103,7 @@ def uniform_state(n: int) -> SESState:
 
 def _dagger(step: PulseStep) -> PulseStep:
     """Inverse pulse: same angle, negated coupling matrix (zeros stay +0.0)."""
-    return PulseStep._checked(0.0 - step.k, step.theta, step.label + "_dagger")
+    return PulseStep(k=0.0 - step.k, theta=step.theta, label=step.label + "_dagger")
 
 
 def _diagonal_dagger(step: PulseStep) -> PulseStep:
@@ -124,7 +124,7 @@ def star_uniform_step(n: int) -> PulseStep:
     k[0, 0] = 1.0
     k[0, 1:] = 0.5
     k[1:, 0] = 0.5
-    return PulseStep._checked(k, np.pi / np.sqrt(n), "star")
+    return PulseStep(k=k, theta=np.pi / np.sqrt(n), label="star")
 
 
 def uniform_weight_phases_step(target: SESState) -> PulseStep:
@@ -161,7 +161,7 @@ def reduction_step(state: SESState) -> tuple[PulseStep, PulseStep, SESState]:
     k_diag = np.zeros((n, n))
     k_diag[i_min, i_min] = phases[i_min] / (3.0 * np.pi)
     k_diag[i_max, i_max] = phases[i_max] / (3.0 * np.pi) - 1.0 / 6.0
-    u_diag = PulseStep._checked(k_diag, 3.0 * np.pi, "u_diag")
+    u_diag = PulseStep(k=k_diag, theta=3.0 * np.pi, label="u_diag")
 
     lo = float(np.sqrt(w[i_min]))
     hi = float(np.sqrt(w[i_max]))
@@ -175,7 +175,7 @@ def reduction_step(state: SESState) -> tuple[PulseStep, PulseStep, SESState]:
     k_swap = np.zeros((n, n))
     k_swap[i_min, i_max] = 1.0
     k_swap[i_max, i_min] = 1.0
-    u_swap = PulseStep._checked(k_swap, phi, "u_swap")
+    u_swap = PulseStep(k=k_swap, theta=phi, label="u_swap")
 
     amps = np.array(state.amplitudes, copy=True)
     amps[i_min] = root
@@ -199,7 +199,7 @@ def reduce_to_uniform(target: SESState) -> tuple[list[tuple[PulseStep, PulseStep
             )
         u_diag, u_swap, state = reduction_step(state)
         pairs.append((u_diag, u_swap))
-    w_diag = PulseStep._checked(np.diag(state.phases / TWO_PI), TWO_PI, "w_diag")
+    w_diag = PulseStep(k=np.diag(state.phases / TWO_PI), theta=TWO_PI, label="w_diag")
     return pairs, w_diag
 
 
