@@ -40,7 +40,9 @@ def _diagonalise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise the work array ``a``; return ``(w, v)``."""
     n = a.shape[0]
     v = np.eye(n, dtype=a.dtype)
-    tol = 1e-13 * max(1.0, float(np.max(np.abs(a))) if n else 0.0)
+    # Relative to max|A|, so a matrix scaled by any s converges to the same
+    # relative accuracy; the TINY floor stops all-subnormal input.
+    tol = max(1e-13 * (float(np.max(np.abs(a))) if n else 0.0), TINY)
     iu = np.triu_indices(n, k=1)
     sweeps = 0
     while n > 1 and np.max(np.abs(a[iu])) > tol:

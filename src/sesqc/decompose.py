@@ -210,18 +210,29 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     pulse with the real generator ``V diag(phases) V†``; complex Hermitian
     ones reuse the KAK route with those phases as the diagonal, or emit
     three zero-angle pulses when the phases are all equal (a global phase).
+    H counts as real when max|Im H| <= 1e-10 max|H|, and its eigendecomposition
+    must reconstruct it to ``RECONSTRUCTION_TOL`` max|H|: both bounds scale
+    with H, so s*H for time t/s compiles as H for time t does.
     """
     device = device or DeviceParams()
     if not np.isfinite(t):
         raise ValueError("t must be finite")
     hm = require_hermitian(h, name="H")
     v, spectrum = hermitian_eig(hm)
+    # The fidelity check below compares against a target built from this
+    # same eigendecomposition, so it cannot catch a wrong one.
+    scale = max_abs(hm)
+    residual = max_abs((v * spectrum) @ v.conj().T - hm)
+    if residual > RECONSTRUCTION_TOL * scale:
+        raise DecompositionError(
+            f"spectral residual {residual:.3e} of H exceeds {RECONSTRUCTION_TOL * scale:.3e}"
+        )
     lam = float(t) * spectrum
     # Wrap onto the principal branch; numpy's exp reduces its argument
     # exactly, where subtracting multiples of float(2*pi) would not.
     lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
     target = (v * np.exp(-1j * lam)) @ v.conj().T
-    if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL:
+    if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL * scale:
         g = ((v * lam) @ v.conj().T).real
         steps = [compile_symmetric_generator((g + g.T) / 2.0, device, label="hamiltonian")]
     elif max_abs(np.angle(np.exp(-1j * (lam - lam[0])))) <= ZERO_ANGLE_TOL:

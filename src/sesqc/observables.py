@@ -52,14 +52,15 @@ def spectral_decompose(o) -> Observable:
 
     Eigenvalues come back ascending with deterministically phased
     eigenvector columns, so the diagonal weights are stable run to run.
+    The factors must reconstruct O to ``SPECTRAL_RESIDUAL_TOL`` max|O|, so
+    an observable in any units passes.
     """
     om = require_hermitian(o, name="O")
     v, d = hermitian_eig(om)
     residual = max_abs((v * d) @ v.conj().T - om)
-    if residual > SPECTRAL_RESIDUAL_TOL:
-        raise DecompositionError(
-            f"spectral residual {residual:.3e} exceeds {SPECTRAL_RESIDUAL_TOL}"
-        )
+    bound = SPECTRAL_RESIDUAL_TOL * max_abs(om)
+    if residual > bound:
+        raise DecompositionError(f"spectral residual {residual:.3e} exceeds {bound:.3e}")
     return Observable(matrix=om, eigvecs=v, eigvals=d)
 
 
@@ -80,7 +81,7 @@ def expectation_exact(rho, o) -> float:
     dm = _as_density(rho)
     obs = _as_observable(o)
     value = complex(np.trace(dm.matrix @ obs.matrix))
-    if abs(value.imag) > SPECTRAL_RESIDUAL_TOL:
+    if abs(value.imag) > SPECTRAL_RESIDUAL_TOL * max_abs(obs.matrix):
         raise DecompositionError(f"tr(rho O) has imaginary residue {value.imag:.3e}")
     return float(value.real)
 

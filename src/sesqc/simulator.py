@@ -5,6 +5,12 @@ exponentiated pulses, so evolution has no time-stepping error: ``U psi``
 for a pure state, ``U rho U†`` for a density matrix.  Measurement in the
 qubit basis is multinomial sampling from the occupation probabilities with
 a seeded, named RNG.
+
+An input density matrix is checked square, finite, Hermitian and of unit
+trace, and positive semidefinite by one Cholesky factorisation of
+``rho + 1e-9 I``, which exists exactly when every eigenvalue of ``rho``
+exceeds ``EIGENVALUE_FLOOR`` = -1e-9.  States sesqc builds itself, ``U rho
+U†`` and the outer product of a pure state, skip that factorisation.
 """
 from __future__ import annotations
 
@@ -47,11 +53,16 @@ class DensityMatrixState:
 
     def __post_init__(self):
         m = _hermitian_unit_trace(self.matrix)
-        _, eigvals = hermitian_eig((m + m.conj().T) / 2.0)
-        if float(eigvals.min()) < EIGENVALUE_FLOOR:
+        h = (m + m.conj().T) / 2.0
+        # Factors iff lambda_min > EIGENVALUE_FLOOR, up to n * eps * max|rho|;
+        # only a rejection pays for an eigensolve, to report lambda_min.
+        try:
+            np.linalg.cholesky(h - EIGENVALUE_FLOOR * np.eye(h.shape[0]))
+        except np.linalg.LinAlgError:
+            lam_min = float(hermitian_eig(h)[1].min())
             raise InvalidDensityMatrix(
-                f"negative eigenvalue {eigvals.min():.3e} below {EIGENVALUE_FLOOR}"
-            )
+                f"negative eigenvalue {lam_min:.3e} below {EIGENVALUE_FLOOR}"
+            ) from None
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -71,8 +82,10 @@ class DensityMatrixState:
 
     @classmethod
     def from_pure(cls, state: SESState) -> "DensityMatrixState":
+        # a a† is exactly Hermitian (a_i conj(a_j) and a_j conj(a_i) round
+        # alike) and positive semidefinite
         a = state.amplitudes
-        return cls(np.outer(a, a.conj()))
+        return cls._positive(np.outer(a, a.conj()))
 
 
 @dataclass(frozen=True)

@@ -416,6 +416,36 @@ def test_expect_rejects_invalid_density(tmp_path, capsys):
     assert code == 5
 
 
+@pytest.mark.parametrize("lam_min, expected", [(-5e-10, 0), (-2e-9, 5)])
+def test_expect_density_eigenvalue_floor(tmp_path, capsys, lam_min, expected):
+    """Guard: the -1e-9 floor on lambda_min(rho) holds through the CLI."""
+    obs_path, _ = make_observable(tmp_path)
+    rho_path = tmp_path / "rho.json"
+    save_matrix(rho_path, np.diag([0.5, 0.3, 0.2 - lam_min, lam_min]))
+    code, _, _ = run_cli(capsys, "expect", str(obs_path), str(rho_path), "--exact")
+    assert code == expected
+
+
+def test_expect_accepts_observable_in_physical_units(tmp_path, capsys):
+    """The spectral residual bound scales with max|O|."""
+    rng = np.random.default_rng(1)
+    o = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    o = 1e6 * (o + o.conj().T) / 2
+    obs_path = tmp_path / "obs.json"
+    save_matrix(obs_path, o)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    m = a @ a.conj().T
+    rho = m / np.trace(m).real
+    rho_path = tmp_path / "rho.json"
+    save_matrix(rho_path, rho)
+    code, stdout, _ = run_cli(
+        capsys, "expect", str(obs_path), str(rho_path), "--exact", "--json"
+    )
+    assert code == 0
+    value = json.loads(stdout)["value"]
+    assert abs(value - np.trace(rho @ o).real) <= 1e-9 * np.max(np.abs(o))
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import golden
+import sesqc.decompose
 from sesqc.decompose import (
     aba_decompose,
     compile_hamiltonian,
@@ -11,7 +12,7 @@ from sesqc.decompose import (
     kak_decompose,
     schedule_unitary,
 )
-from sesqc.errors import NotHermitian, NotUnitary
+from sesqc.errors import DecompositionError, NotHermitian, NotUnitary
 from sesqc.linalg import (
     expm_generator,
     global_phase_fidelity,
@@ -265,6 +266,24 @@ def test_compile_hamiltonian_angle_bounded_in_t(t):
 def test_compile_hamiltonian_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         compile_hamiltonian(np.array([[0.0, 1.0], [0.0, 0.0]]), t=1.0)
+
+
+@pytest.mark.parametrize("complex_", [False, True])
+def test_compile_hamiltonian_rejects_wrong_eigendecomposition(monkeypatch, complex_):
+    """The fidelity check compares against a target built from the same
+    eigendecomposition, so a wrong one is caught by its residual; at
+    max|H| ~ 1e-3 that residual is below an absolute 1e-8."""
+    rng = np.random.default_rng(803)
+    h = rng.normal(size=(5, 5)) + (1j * rng.normal(size=(5, 5)) if complex_ else 0)
+    h = (h + h.conj().T) / 2
+
+    def off_by_1e_6(m):
+        v, w = hermitian_eig(m)
+        return v, w * (1 + 1e-6)
+
+    monkeypatch.setattr(sesqc.decompose, "hermitian_eig", off_by_1e_6)
+    with pytest.raises(DecompositionError, match="spectral residual"):
+        compile_hamiltonian(1e-3 * h, t=1.0)
 
 
 def test_compile_hamiltonian_rejects_bad_time():

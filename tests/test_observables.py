@@ -137,10 +137,10 @@ def test_protocol_sampled_mode_within_error_bound():
 
 
 def test_protocol_density_counts_eigensolves(eig_calls, monkeypatch):
-    """Spectrum of O, the input density check, and two for the ABA
-    generators of V†; its pulses are exponentiated without one, and the
-    output ``U rho U†`` is positive by construction, so it is built
-    without a density check."""
+    """Spectrum of O and two for the ABA generators of V†.  The input
+    density check is a Cholesky factorisation, the pulses are
+    exponentiated without an eigensolve, and the output ``U rho U†`` is
+    positive by construction, so it is built without a density check."""
     built = []
     post_init = DensityMatrixState.__post_init__
     monkeypatch.setattr(DensityMatrixState, "__post_init__", lambda self: built.append(post_init(self)))
@@ -151,7 +151,7 @@ def test_protocol_density_counts_eigensolves(eig_calls, monkeypatch):
     eig_calls.clear()
     built.clear()
     assert expectation_protocol(np.array(rho), o).value == pytest.approx(exact, abs=1e-10)
-    assert sum(eig_calls.values()) == 4
+    assert sum(eig_calls.values()) == 3
     assert len(built) == 1
 
 

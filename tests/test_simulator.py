@@ -63,6 +63,48 @@ def test_density_matrix_frozen():
         rho.matrix[0, 0] = 0.0
 
 
+def diagonal_density(lam_min):
+    """Diagonal unit-trace matrix whose smallest eigenvalue is ``lam_min``."""
+    return np.diag([0.5, 0.3, 0.2 - lam_min, lam_min])
+
+
+def test_density_accepts_eigenvalue_above_floor():
+    """Guard: -5e-10 is above the -1e-9 floor, as it was for the eigensolve."""
+    rho = DensityMatrixState(diagonal_density(-5e-10))
+    assert rho.matrix[3, 3] == -5e-10
+
+
+def test_density_rejects_eigenvalue_below_floor():
+    """Guard: the message still reports lambda_min."""
+    with pytest.raises(InvalidDensityMatrix, match="negative eigenvalue -2.000e-09"):
+        DensityMatrixState(diagonal_density(-2e-9))
+
+
+def test_density_accepts_rank_one():
+    """Guard: a pure state's rho has n - 1 zero eigenvalues."""
+    rng = np.random.default_rng(45)
+    a = SESState.normalized(rng.normal(size=6) + 1j * rng.normal(size=6)).amplitudes
+    rho = DensityMatrixState(np.outer(a, a.conj()))
+    np.testing.assert_allclose(occupations(rho), np.abs(a) ** 2, atol=1e-15)
+
+
+def test_density_factorisation_failure_is_invalid(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(InvalidDensityMatrix, match="negative eigenvalue"):
+        DensityMatrixState(np.eye(3) / 3)
+
+
+def test_density_checks_make_no_eigensolve(eig_calls):
+    rng = np.random.default_rng(46)
+    rho = random_density(5, rng)
+    DensityMatrixState(rho.matrix)
+    DensityMatrixState.from_pure(SESState.normalized(rng.normal(size=5)))
+    assert sum(eig_calls.values()) == 0
+
+
 # ---------------------------------------------------------------------------
 # evolution
 
