@@ -12,6 +12,7 @@ applied by :mod:`sesqc.linalg`.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -40,9 +41,12 @@ def _diagonalise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise the work array ``a``; return ``(w, v)``."""
     n = a.shape[0]
     v = np.eye(n, dtype=a.dtype)
-    # Relative to max|A|, so a matrix scaled by any s converges to the same
-    # relative accuracy; the TINY floor stops all-subnormal input.
-    tol = max(1e-13 * (float(np.max(np.abs(a))) if n else 0.0), TINY)
+    # Scaling by a power of two is exact: max|A| in [0.5, 1) (an all-subnormal
+    # A to at least 2^-52) makes the rotations and the stop the same at any scale.
+    peak = float(np.max(np.abs(a))) if n else 0.0
+    unit = math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
+    a *= unit
+    tol = 1e-13 * (peak * unit)
     iu = np.triu_indices(n, k=1)
     sweeps = 0
     while n > 1 and np.max(np.abs(a[iu])) > tol:
@@ -69,7 +73,7 @@ def _diagonalise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             j[q, p] = -s.conj()
             a = j.conj().T @ a @ j
             v = v @ j
-    return np.diagonal(a).real.copy(), v
+    return np.diagonal(a).real / unit, v
 
 
 def jacobi_real(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

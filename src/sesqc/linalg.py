@@ -2,12 +2,17 @@
 
 All routines work on plain ``numpy`` arrays.  Matrix-valued preconditions
 (symmetric, Hermitian, unitary) are enforced by the ``require_*`` validators
-which either return a cleaned-up copy or raise a domain error.
+which either return a cleaned-up copy or raise a domain error.  Only this
+module decides how close a matrix must be to Hermitian, symmetric or
+diagonal, always relative to the input's own scale (max|A|, or the larger
+max row sum of |P|, |Q| in :func:`simultaneous_diag`), so s*A fares as A
+does; unitaries are unit-scale, so :func:`require_unitary` bounds absolutely.
 
 Eigendecompositions run on the round-robin Jacobi kernel in
 :mod:`sesqc._kernels` and are post-processed to a deterministic form:
 eigenvalues ascending, and each eigenvector column scaled so its
-largest-magnitude entry is real and positive.  Pulse exponentials
+largest-magnitude entry is real and positive, and checked to rebuild A to
+``SPECTRAL_RESIDUAL_TOL`` max|A|.  Pulse exponentials
 (:func:`expm_generator`) use no eigensolver: they are formed from matrix
 products alone, so a schedule's net unitary is computed independently of
 the eigendecompositions that produced its generators.
@@ -30,10 +35,9 @@ from .errors import (
 UNITARY_TOL = 1e-8
 HERMITIAN_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
+SPECTRAL_RESIDUAL_TOL = 1e-9
 CLUSTER_RTOL = 1e-8
-# Eigenvalue pairs separated by just over CLUSTER_RTOL land in different
-# clusters and can leave cross terms of (commutator noise / gap); the gate
-# matches the 1e-8 accuracy contract of everything built on top.
+NEAR_RTOL = 1e-4
 DIAG_RESIDUAL_TOL = 1e-8
 
 
@@ -52,25 +56,29 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
 
 
 def require_real_symmetric(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a float64 symmetrised copy of ``a``."""
+    """Float64 symmetrised copy of ``a``; its asymmetry and imaginary part
+    must be within ``SYMMETRY_TOL`` max|a|."""
     m = np.asarray(a)
     if m.dtype.kind in "fiu":
         r = _as_square(np.asarray(m, dtype=np.float64), name)
     else:
         c = _as_square(np.asarray(m, dtype=np.complex128), name)
-        if max_abs(c.imag) > SYMMETRY_TOL:
-            raise NotHermitian(f"{name} has imaginary entries above {SYMMETRY_TOL}")
+        imag = max_abs(c.imag)
+        if imag and imag > SYMMETRY_TOL * max_abs(c):  # exact input skips the scale
+            raise NotHermitian(f"{name} has imaginary entries above {SYMMETRY_TOL:g} max|A|")
         r = c.real
-    if max_abs(r - r.T) > SYMMETRY_TOL:
-        raise NotHermitian(f"{name} is not symmetric within {SYMMETRY_TOL}")
+    asym = max_abs(r - r.T)
+    if asym and asym > SYMMETRY_TOL * max_abs(r):
+        raise NotHermitian(f"{name} is not symmetric within {SYMMETRY_TOL:g} max|A|")
     return np.array((r + r.T) / 2.0, dtype=np.float64, order="C")
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
-    """Validate and return a complex128 Hermitised copy of ``a``."""
+    """Complex128 Hermitised copy of ``a``; asymmetry must be within ``HERMITIAN_TOL`` max|a|."""
     m = _as_square(np.asarray(a, dtype=np.complex128), name)
-    if max_abs(m - m.conj().T) > HERMITIAN_TOL:
-        raise NotHermitian(f"{name} is not Hermitian within {HERMITIAN_TOL}")
+    asym = max_abs(m - m.conj().T)
+    if asym and asym > HERMITIAN_TOL * max_abs(m):
+        raise NotHermitian(f"{name} is not Hermitian within {HERMITIAN_TOL:g} max|A|")
     return np.array((m + m.conj().T) / 2.0, dtype=np.complex128, order="C")
 
 
@@ -98,6 +106,18 @@ def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def _verified_eig(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, sign-fixed ``(v, w)``; must rebuild ``a`` to ``SPECTRAL_RESIDUAL_TOL`` max|a|."""
+    order = np.argsort(w, kind="stable")
+    v = _fix_column_signs(v[:, order])
+    w = w[order]
+    residual = max_abs((v * w) @ v.conj().T - a)
+    bound = SPECTRAL_RESIDUAL_TOL * max_abs(a)
+    if residual > bound:
+        raise DecompositionError(f"spectral residual {residual:.3e} exceeds {bound:.3e}")
+    return v, w
+
+
 def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a real symmetric matrix: ``S == Q @ diag(lam) @ Q.T``.
 
@@ -105,10 +125,7 @@ def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
     column signs.
     """
     s2 = require_real_symmetric(s, name="S")
-    w, v = _kernels.jacobi_real(s2)
-    order = np.argsort(w, kind="stable")
-    q = _fix_column_signs(v[:, order])
-    return q, w[order]
+    return _verified_eig(s2, *_kernels.jacobi_real(s2))
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -118,83 +135,76 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     its largest-magnitude entry is real positive.
     """
     h2 = require_hermitian(h, name="H")
-    w, v = _kernels.jacobi_herm(h2)
-    order = np.argsort(w, kind="stable")
-    v = _fix_column_signs(v[:, order])
-    return v, w[order]
+    return _verified_eig(h2, *_kernels.jacobi_herm(h2))
 
 
-def _cluster_bounds(vals: np.ndarray, ctol: float) -> list[tuple[int, int]]:
-    """Split ascending values into maximal runs with consecutive gap <= ctol."""
-    bounds = []
-    start = 0
-    for i in range(1, len(vals)):
-        if vals[i] - vals[i - 1] > ctol:
-            bounds.append((start, i))
-            start = i
-    bounds.append((start, len(vals)))
-    return bounds
+def _runs(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
+    """``(lo, hi)`` of each maximal run of 2+ ascending values with gaps <= tol."""
+    cuts = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1), len(vals)]
+    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]
+
+
+def _diagonalise_in(block: np.ndarray, m: np.ndarray, eig) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate orthonormal columns ``block`` to diagonalise ``m`` on their span."""
+    restricted = block.conj().T @ m @ block
+    rot, vals = eig((restricted + restricted.conj().T) / 2.0)
+    return block @ rot, vals
 
 
 def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly diagonalise two commuting Hermitian matrices.
 
     Returns ``(basis, p_vals, q_vals)``.  The basis diagonalises ``p`` with
-    eigenvalues ascending; inside each degenerate cluster of ``p`` it is
-    rotated to diagonalise ``q`` (again ascending).  When both inputs are
-    real symmetric the basis comes back real orthogonal.
+    eigenvalues ascending; inside each (near-)degenerate cluster of ``p`` it
+    is rotated to diagonalise ``q``.  When both inputs are real symmetric the
+    basis comes back real orthogonal.
 
-    Raises :class:`CommutatorViolation` when the inputs do not commute
-    within tolerance, or when the joint residual check fails afterwards.
+    Raises :class:`CommutatorViolation` when max|PQ - QP| exceeds 1e-8 s^2,
+    or the basis leaves off-diagonal residue above 1e-8 s, where s is the
+    larger max row sum of |P| and |Q|.  That norm bounds the spectral one,
+    which is 1 for the Hermitian parts of a unitary, though their entries
+    can be as small as 1/sqrt(n).
     """
-    pm = _as_square(np.asarray(p, dtype=np.complex128), "P")
-    qm = _as_square(np.asarray(q, dtype=np.complex128), "Q")
-    if pm.shape != qm.shape:
-        raise DimensionMismatch(f"P is {pm.shape}, Q is {qm.shape}")
+    pw = require_hermitian(p, name="P")
+    qw = require_hermitian(q, name="Q")
+    if pw.shape != qw.shape:
+        raise DimensionMismatch(f"P is {pw.shape}, Q is {qw.shape}")
 
-    comm = max_abs(pm @ qm - qm @ pm)
-    bound = 1e-8 * max(1.0, max_abs(pm) * max_abs(qm))
+    scale = max(float(np.abs(m).sum(axis=1).max(initial=0.0)) for m in (pw, qw))
+    comm = max_abs(pw @ qw - qw @ pw)
+    bound = DIAG_RESIDUAL_TOL * scale * scale
     if comm > bound:
         raise CommutatorViolation(
             f"max|PQ - QP| = {comm:.3e} exceeds {bound:.3e}; no shared eigenbasis"
         )
 
     # .conj() of a real array is the array itself, so one path serves both cases
-    real_case = max_abs(pm.imag) == 0.0 and max_abs(qm.imag) == 0.0
-    if real_case:
-        pm, qm = pm.real, qm.real
-    validate, eig = ((require_real_symmetric, symmetric_eig) if real_case
-                     else (require_hermitian, hermitian_eig))
-    pw = validate(pm, name="P")
-    qw = validate(qm, name="Q")
-    basis, p_sorted = eig(pw)
+    eig = hermitian_eig
+    if max_abs(pw.imag) == 0.0 and max_abs(qw.imag) == 0.0:
+        pw, qw, eig = np.ascontiguousarray(pw.real), np.ascontiguousarray(qw.real), symmetric_eig
+    p_basis, p_sorted = eig(pw)
 
-    ctol = CLUSTER_RTOL * max_abs(pw)
-    for lo, hi in _cluster_bounds(p_sorted, ctol):
-        if hi - lo < 2:
-            continue
-        block = basis[:, lo:hi]
-        restricted = block.conj().T @ qw @ block
-        rot, _ = eig((restricted + restricted.conj().T) / 2.0)
-        basis[:, lo:hi] = block @ rot
-
-    basis = _fix_column_signs(basis)
-
-    bh = basis.conj().T
-    p_full = bh @ pw @ basis
-    q_full = bh @ qw @ basis
-    p_vals = np.diagonal(p_full).real.copy()
-    q_vals = np.diagonal(q_full).real.copy()
-    off = max(
-        max_abs(p_full - np.diag(np.diagonal(p_full))),
-        max_abs(q_full - np.diag(np.diagonal(q_full))),
+    # P's degenerate runs are split by Q.  Jacobi mixes the vectors of two
+    # eigenvalues a gap g apart by up to ~1e-13 max|P| / g, which can leave Q
+    # a cross term above the bound for g up to ~1e-5 max|P|; then the runs up
+    # to NEAR_RTOL max|P| wide are split by Q instead, and Q's clusters in them by P.
+    for near in (CLUSTER_RTOL, NEAR_RTOL):
+        basis = p_basis.copy(order="K")  # same layout, so the products round the same
+        for lo, hi in _runs(p_sorted, near * max_abs(pw)):
+            block, q_sorted = _diagonalise_in(basis[:, lo:hi], qw, eig)
+            if near == NEAR_RTOL:
+                for a, b in _runs(q_sorted, CLUSTER_RTOL * max_abs(qw)):
+                    block[:, a:b] = _diagonalise_in(block[:, a:b], pw, eig)[0]
+            basis[:, lo:hi] = block
+        basis = _fix_column_signs(basis)
+        p_full, q_full = (basis.conj().T @ m @ basis for m in (pw, qw))
+        off = max(max_abs(m - np.diag(np.diagonal(m))) for m in (p_full, q_full))
+        if off <= DIAG_RESIDUAL_TOL * scale:
+            return basis, np.diagonal(p_full).real.copy(), np.diagonal(q_full).real.copy()
+    raise CommutatorViolation(
+        f"joint diagonalisation left off-diagonal residue {off:.3e}; "
+        "inputs commute only approximately"
     )
-    if off > DIAG_RESIDUAL_TOL:
-        raise CommutatorViolation(
-            f"joint diagonalisation left off-diagonal residue {off:.3e}; "
-            "inputs commute only approximately"
-        )
-    return basis, p_vals, q_vals
 
 
 def unitary_diagonalize(u) -> tuple[np.ndarray, np.ndarray]:

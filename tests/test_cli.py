@@ -446,6 +446,40 @@ def test_expect_accepts_observable_in_physical_units(tmp_path, capsys):
     assert abs(value - np.trace(rho @ o).real) <= 1e-9 * np.max(np.abs(o))
 
 
+def write_scaled_observable(tmp_path, s, defect):
+    """8x8 O from default_rng(1) times s, each entry times (1 + 1e-15 noise),
+    with ``defect`` max|O| added to one off-diagonal entry."""
+    rng = np.random.default_rng(1)
+    o = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    o = s * (o + o.conj().T) / 2 * (1 + 1e-15 * rng.normal(size=(8, 8)))
+    o[2, 5] += defect * np.max(np.abs(o))
+    obs_path = tmp_path / "obs.json"
+    save_matrix(obs_path, o)
+    rho_path = tmp_path / "rho.json"
+    save_matrix(rho_path, np.eye(8) / 8)
+    return o, obs_path, rho_path
+
+
+@pytest.mark.parametrize("s", [1e8, 1e12])
+def test_expect_accepts_rounding_asymmetry_in_physical_units(tmp_path, capsys, s):
+    """The Hermitian bound scales with max|O|."""
+    o, obs_path, rho_path = write_scaled_observable(tmp_path, s, defect=0.0)
+    code, stdout, _ = run_cli(
+        capsys, "expect", str(obs_path), str(rho_path), "--exact", "--json"
+    )
+    assert code == 0
+    value = json.loads(stdout)["value"]
+    assert abs(value - np.trace(o).real / 8) <= 1e-9 * np.max(np.abs(o))
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e8])
+def test_expect_rejects_asymmetric_observable_at_any_scale(tmp_path, capsys, s):
+    """One entry off by 1e-3 max|O| exits 6 however small O is."""
+    _, obs_path, rho_path = write_scaled_observable(tmp_path, s, defect=1e-3)
+    code, _, _ = run_cli(capsys, "expect", str(obs_path), str(rho_path), "--exact")
+    assert code == 6
+
+
 # ---------------------------------------------------------------------------
 # bench
 

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
-import sesqc.decompose
+import sesqc._kernels
 from sesqc.decompose import (
+    SYMMETRIC_SHORTCUT_TOL,
     aba_decompose,
     compile_hamiltonian,
     compile_unitary,
@@ -191,6 +194,83 @@ def test_compile_unitary_symmetric_one_step():
     assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
 
 
+def symmetric_unitary_with_asymmetry(n, rng, asym):
+    """O diag(e^{-i lam}) O.T times a real rotation of one index pair, its
+    angle set so that max|U - U.T| = asym (linear in the angle this small)."""
+    o = random_orthogonal(n, rng)
+    sym = (o * np.exp(-1j * rng.uniform(-np.pi, np.pi, size=n))) @ o.T
+
+    def rotated(angle):
+        r = np.eye(n)
+        r[[0, 0, 1, 1], [0, 1, 0, 1]] = np.cos(angle), -np.sin(angle), np.sin(angle), np.cos(angle)
+        return sym @ r
+
+    probe = rotated(1e-6)
+    return rotated(1e-6 * asym / max_abs(probe - probe.T))
+
+
+def structured_unitary(kind, n, rng):
+    if kind == "permutation":
+        return np.eye(n)[rng.permutation(n)]
+    if kind in ("fourier", "fourier_conj"):
+        jk = np.outer(np.arange(n), np.arange(n))
+        f = np.exp(2j * np.pi * jk / n) / np.sqrt(n)
+        return f if kind == "fourier" else f.conj()
+    if kind == "branch_cut":
+        edge = np.pi - np.array([0.0, 2e-16, 1e-12])
+        return np.diag(np.exp(1j * rng.choice(np.concatenate([edge, -edge]), size=n)))
+    if kind == "minus_identity":
+        return -np.eye(n)
+    if kind == "repeated_phases":
+        v = random_unitary(n, rng)
+        return (v * np.exp(-1j * rng.choice([0.4, -2.9, np.pi], size=n))) @ v.conj().T
+    return symmetric_unitary_with_asymmetry(n, rng, {"asym_below": 0.5e-10, "asym_above": 2e-10}[kind])
+
+
+STRUCTURED_KINDS = ("permutation", "fourier", "fourier_conj", "branch_cut", "minus_identity",
+                    "repeated_phases", "asym_below", "asym_above")
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.sampled_from(STRUCTURED_KINDS), st.sampled_from([2, 3, 4, 5, 8, 16]),
+       st.integers(0, 2**32 - 1), st.floats(-np.pi, np.pi))
+def test_compile_unitary_round_trips_structured_targets(kind, n, seed, phase):
+    """Degenerate spectra, the +-pi branch cut and both sides of the
+    symmetric-shortcut threshold compile at full fidelity with bounded angles."""
+    u = np.exp(1j * phase) * structured_unitary(kind, n, np.random.default_rng(seed))
+    schedule = compile_unitary(u)
+    assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
+    assert len(schedule.steps) == (1 if max_abs(u - u.T) <= SYMMETRIC_SHORTCUT_TOL else 3)
+    assert all(step.theta <= np.pi + 1e-12 for step in schedule.steps)
+    if kind.startswith("asym"):
+        assert len(schedule.steps) == (1 if kind == "asym_below" else 3)
+
+
+@pytest.mark.parametrize("phase", [3e-9, 1e-8])
+def test_compile_unitary_cyclic_permutation_near_degenerate(phase):
+    """Re(U) of a 3-cycle times e^{i phase} has two eigenvalues ~1.7 phase
+    apart, just outside a degenerate cluster: split by Re(U) alone, their
+    vectors leave Im(U) a cross term of 2-3.5e-8, above the 1e-8 bound."""
+    u = np.exp(1j * phase) * np.eye(3)[[1, 2, 0]]
+    schedule = compile_unitary(u)
+    assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5, 6])
+def test_compile_unitary_accepts_near_unitary_input(seed):
+    """A 9e-9 unitarity defect passes require_unitary.  The Hermitian parts
+    of U have spectral norm 1 but entries near 1/sqrt(n), so joint-diagonal
+    bounds scaled by their largest entry would refuse seeds 3 and 4."""
+    n = 4
+    rng = np.random.default_rng(seed)
+    u = random_unitary(n, rng)
+    e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    probe = u + 1e-6 * e
+    u = u + 1e-6 * e * (9e-9 / max_abs(probe.conj().T @ probe - np.eye(n)))
+    schedule = compile_unitary(u)
+    assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
+
+
 def test_compile_unitary_identity_zero_angle():
     schedule = compile_unitary(np.eye(5))
     assert schedule.total_angle == 0.0
@@ -276,12 +356,13 @@ def test_compile_hamiltonian_rejects_wrong_eigendecomposition(monkeypatch, compl
     rng = np.random.default_rng(803)
     h = rng.normal(size=(5, 5)) + (1j * rng.normal(size=(5, 5)) if complex_ else 0)
     h = (h + h.conj().T) / 2
+    jacobi_herm = sesqc._kernels.jacobi_herm
 
     def off_by_1e_6(m):
-        v, w = hermitian_eig(m)
-        return v, w * (1 + 1e-6)
+        w, v = jacobi_herm(m)
+        return w * (1 + 1e-6), v
 
-    monkeypatch.setattr(sesqc.decompose, "hermitian_eig", off_by_1e_6)
+    monkeypatch.setattr(sesqc._kernels, "jacobi_herm", off_by_1e_6)
     with pytest.raises(DecompositionError, match="spectral residual"):
         compile_hamiltonian(1e-3 * h, t=1.0)
 

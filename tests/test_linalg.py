@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import sesqc._kernels
 from sesqc.errors import (
     CommutatorViolation,
+    DecompositionError,
     DimensionMismatch,
     NotHermitian,
     NotUnitary,
@@ -102,6 +104,27 @@ def test_require_hermitian_accepts_and_rejects():
     assert max_abs(out - out.conj().T) == 0.0
     with pytest.raises(NotHermitian):
         require_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-6, 1.0, 1e8, 1e12])
+def test_validator_bounds_are_relative(s):
+    """Rounding-level asymmetry passes and a 1e-3 relative defect fails at any scale."""
+    rng = np.random.default_rng(1)
+    h = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    h = s * (h + h.conj().T) / 2
+    r = h.real.copy()
+    noise = 1 + 1e-15 * rng.normal(size=(8, 8))
+    require_hermitian(h * noise)
+    require_real_symmetric(r * noise)
+    require_real_symmetric((r + 1e-15j * max_abs(r)) * noise)
+    h[0, 3] += 1e-3 * max_abs(h)
+    r[0, 3] += 1e-3 * max_abs(r)
+    with pytest.raises(NotHermitian):
+        require_hermitian(h)
+    with pytest.raises(NotHermitian):
+        require_real_symmetric(r)
+    with pytest.raises(NotHermitian, match="imaginary"):
+        require_real_symmetric(r.T + 1e-9j * max_abs(r))
 
 
 def test_require_unitary():
@@ -214,6 +237,37 @@ def test_hermitian_eig_matches_lapack(n):
         assert abs(v[k, j].imag) < 1e-12 and v[k, j].real > 0
 
 
+@pytest.mark.parametrize("s", [1e-300, 1e300])
+def test_eigensolves_reconstruct_at_extreme_scale(s):
+    """The kernel scales max|A| into [0.5, 1) first, so 1e-300 A converges to
+    the same relative accuracy as A."""
+    rng = np.random.default_rng(3)
+    a = rng.normal(size=(5, 5))
+    a = s * (a + a.T) / 2
+    q, lam = symmetric_eig(a)
+    assert max_abs((q * lam) @ q.T - a) <= 1e-12 * max_abs(a)
+    v, w = hermitian_eig(a.astype(np.complex128))
+    assert max_abs((v * w) @ v.conj().T - a) <= 1e-12 * max_abs(a)
+
+
+@pytest.mark.parametrize("kernel, eig", [("jacobi_real", symmetric_eig), ("jacobi_herm", hermitian_eig)])
+def test_eigensolves_reject_wrong_eigendecomposition(monkeypatch, kernel, eig):
+    """Eigenvalues off by 1e-6 relative fail the spectral residual check, though
+    at max|A| ~ 1e-3 that residual is below an absolute 1e-8."""
+    rng = np.random.default_rng(803)
+    a = rng.normal(size=(5, 5))
+    a = 1e-3 * (a + a.T) / 2
+    original = getattr(sesqc._kernels, kernel)
+
+    def off_by_1e_6(m):
+        w, v = original(m)
+        return w * (1 + 1e-6), v
+
+    monkeypatch.setattr(sesqc._kernels, kernel, off_by_1e_6)
+    with pytest.raises(DecompositionError, match="spectral residual"):
+        eig(a)
+
+
 # ---------------------------------------------------------------------------
 # simultaneous diagonalization
 
@@ -256,6 +310,48 @@ def test_simultaneous_diag_rejects_noncommuting():
     q = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(CommutatorViolation):
         simultaneous_diag(p, q)
+
+
+def noncommuting_pair():
+    """6x6 Hermitian P, Q with max|PQ - QP| = 1.26 max|P| max|Q|."""
+    rng = np.random.default_rng(0)
+    p, q = (rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)) for _ in range(2))
+    return (p + p.conj().T) / 2, (q + q.conj().T) / 2
+
+
+@pytest.mark.parametrize("s", [1e-12, 1e-9, 1e-3, 1.0, 1e6, 1e12])
+def test_simultaneous_diag_rejects_noncommuting_at_any_scale(s):
+    """An absolute commutator bound let s = 1e-9 through with a wrong basis."""
+    p, q = noncommuting_pair()
+    with pytest.raises(CommutatorViolation):
+        simultaneous_diag(s * p, s * q)
+
+
+@pytest.mark.parametrize("repeats", [False, True])
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e6, 1e12])
+def test_simultaneous_diag_accepts_commuting_at_any_scale(s, repeats):
+    """An absolute residual bound refused commuting pairs from s = 1e6 up."""
+    p, q = commuting_pair(6, np.random.default_rng(0), repeats=repeats)
+    basis, p_vals, q_vals = simultaneous_diag(s * p, s * q)
+    assert max_abs((basis * p_vals) @ basis.T - s * p) <= 1e-9 * s * max_abs(p)
+    assert max_abs((basis * q_vals) @ basis.T - s * q) <= 1e-9 * s * max_abs(q)
+
+
+@pytest.mark.parametrize("gap", [1e-8, 1e-7, 1e-6, 1e-5])
+@pytest.mark.parametrize("n", [3, 8, 32])
+def test_simultaneous_diag_near_degenerate_p_split_by_q(n, gap):
+    """Two eigenvalues of P a gap of 1e-8..1e-5 max|P| apart, far apart in Q:
+    Jacobi mixes their vectors by ~1e-13 / gap, so splitting by P alone left
+    Q a cross term above 1e-8."""
+    rng = np.random.default_rng(n)
+    v = random_unitary(n, rng)
+    p_vals, q_vals = rng.uniform(-1, 1, size=(2, n))
+    p_vals[:2] = 0.5, 0.5 + gap
+    q_vals[:2] = -0.8, 0.8
+    p, q = (v * p_vals) @ v.conj().T, (v * q_vals) @ v.conj().T
+    basis, p_out, q_out = simultaneous_diag(p, q)
+    assert max_abs((basis * p_out) @ basis.conj().T - p) <= 1e-8 * max_abs(p)
+    assert max_abs((basis * q_out) @ basis.conj().T - q) <= 1e-8 * max_abs(q)
 
 
 # ---------------------------------------------------------------------------

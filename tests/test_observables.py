@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sesqc.errors import NotHermitian
+import sesqc._kernels
+from sesqc.errors import DecompositionError, NotHermitian
 from sesqc.observables import (
     Observable,
     expectation_exact,
@@ -44,6 +45,20 @@ def test_spectral_decompose(n):
 def test_spectral_decompose_rejects_nonhermitian():
     with pytest.raises(NotHermitian):
         spectral_decompose(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_spectral_decompose_rejects_wrong_eigendecomposition(monkeypatch):
+    """Eigenvalues off by 1e-6 relative at max|O| ~ 1e-3 fail the residual check."""
+    o = 1e-3 * random_observable_matrix(5, np.random.default_rng(803))
+    jacobi_herm = sesqc._kernels.jacobi_herm
+
+    def off_by_1e_6(m):
+        w, v = jacobi_herm(m)
+        return w * (1 + 1e-6), v
+
+    monkeypatch.setattr(sesqc._kernels, "jacobi_herm", off_by_1e_6)
+    with pytest.raises(DecompositionError, match="spectral residual"):
+        spectral_decompose(o)
 
 
 def test_std_error_bound_formula():

@@ -5,11 +5,20 @@ only, so it holds for any eigensolver behind them.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sesqc.decompose import compile_hamiltonian, schedule_unitary
-from sesqc.linalg import global_phase_fidelity, hermitian_eig, max_abs, symmetric_eig
+from sesqc.errors import CommutatorViolation, NotHermitian
+from sesqc.linalg import (
+    global_phase_fidelity,
+    hermitian_eig,
+    max_abs,
+    require_real_symmetric,
+    simultaneous_diag,
+    symmetric_eig,
+)
 from sesqc.observables import spectral_decompose
 
 SCALES = st.integers(-14, 12).map(lambda k: 10.0 ** k)
@@ -54,3 +63,57 @@ def test_compile_hamiltonian_at_any_scale(n, seed, s, complex_):
     schedule = compile_hamiltonian(s * h, 1.7 / s)
     assert len(schedule.steps) == (3 if complex_ else 1)
     assert global_phase_fidelity(schedule_unitary(schedule), target) >= 1 - 1e-8
+
+
+@settings(deadline=None, max_examples=40)
+@given(SIZES, SEEDS, SCALES)
+def test_noncommuting_pair_refused_at_any_scale(n, seed, s):
+    p = s * gaussian(n, seed, complex_=True)
+    q = s * gaussian(n, seed + 1, complex_=True)
+    with pytest.raises(CommutatorViolation):
+        simultaneous_diag(p, q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(SIZES, SEEDS, SCALES, st.booleans())
+def test_commuting_pair_diagonalised_at_any_scale(n, seed, s, repeats):
+    """P and Q share a random orthogonal eigenbasis; P may repeat an eigenvalue."""
+    rng = np.random.default_rng(seed)
+    o, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    p_vals, q_vals = rng.normal(size=(2, n))
+    if repeats:
+        p_vals[1:] = p_vals[0]
+    p, q = s * (o * p_vals) @ o.T, s * (o * q_vals) @ o.T
+    p, q = (p + p.T) / 2, (q + q.T) / 2
+    basis, p_out, q_out = simultaneous_diag(p, q)
+    assert max_abs((basis * p_out) @ basis.T - p) <= 1e-9 * max_abs(p)
+    assert max_abs((basis * q_out) @ basis.T - q) <= 1e-9 * max_abs(q)
+
+
+@settings(deadline=None, max_examples=40)
+@given(SIZES, SEEDS, SCALES, st.booleans())
+def test_rounding_asymmetry_accepted_at_any_scale(n, seed, s, complex_):
+    """Each entry of s*O times (1 + 1e-15 noise) is O in physical units."""
+    rng = np.random.default_rng(seed)
+    o = s * gaussian(n, seed, complex_) * (1 + 1e-15 * rng.normal(size=(n, n)))
+    obs = spectral_decompose(o)
+    assert max_abs((obs.eigvecs * obs.eigvals) @ obs.eigvecs.conj().T - o) <= 1e-9 * max_abs(o)
+    schedule = compile_hamiltonian(o, 1.0 / s)
+    assert len(schedule.steps) == (3 if complex_ else 1)
+    if not complex_:
+        require_real_symmetric(o)
+
+
+@settings(deadline=None, max_examples=40)
+@given(SIZES, SEEDS, SCALES, st.booleans())
+def test_asymmetry_refused_at_any_scale(n, seed, s, complex_):
+    """One entry off by 1e-3 max|O| is refused, never symmetrised away."""
+    o = s * gaussian(n, seed, complex_)
+    o[0, 1] += 1e-3 * max_abs(o)
+    with pytest.raises(NotHermitian):
+        spectral_decompose(o)
+    with pytest.raises(NotHermitian):
+        compile_hamiltonian(o, 1.0 / s)
+    if not complex_:
+        with pytest.raises(NotHermitian):
+            require_real_symmetric(o)
