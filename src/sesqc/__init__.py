@@ -22,6 +22,7 @@ from .errors import (
     DecompositionError,
     DimensionMismatch,
     InvalidDensityMatrix,
+    InvalidState,
     IterationOverflow,
     NonUniformWeights,
     NotHermitian,
@@ -89,6 +90,7 @@ __all__ = [
     "DimensionMismatch",
     "ExpectationEstimate",
     "InvalidDensityMatrix",
+    "InvalidState",
     "IterationOverflow",
     "KAKDecomposition",
     "MeasurementRecord",

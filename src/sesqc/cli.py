@@ -26,17 +26,7 @@ import time
 import numpy as np
 
 from .decompose import aba_decompose, compile_unitary
-from .errors import (
-    CommutatorViolation,
-    ConvergenceError,
-    DecompositionError,
-    DimensionMismatch,
-    InvalidDensityMatrix,
-    IterationOverflow,
-    NotHermitian,
-    NotUnitary,
-    OrthogonalityViolation,
-)
+from .errors import InvalidDensityMatrix, InvalidState, SesqcError
 from .formats import (
     load_json,
     load_matrix,
@@ -52,12 +42,6 @@ from .simulator import DensityMatrixState, measure, run_schedule
 from .stateprep import SESState, prepare_state_schedule
 
 NORM_GATE = 1e-6
-
-
-class _CliError(Exception):
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -78,14 +62,14 @@ def _resolve_seed(args) -> int | None:
     try:
         return int(raw)
     except ValueError as exc:
-        raise _CliError(2, f"SES_SEED must be an integer, got {raw!r}") from exc
+        raise ValueError(f"SES_SEED must be an integer, got {raw!r}") from exc
 
 
 def _pure_state(obj) -> SESState:
     amps = state_from_obj(obj)
     norm_err = abs(float(np.sum(np.abs(amps) ** 2)) - 1.0)
     if norm_err > NORM_GATE:
-        raise _CliError(5, f"state norm**2 deviates from 1 by {norm_err:.3e} (> {NORM_GATE})")
+        raise InvalidState(f"state norm**2 deviates from 1 by {norm_err:.3e} (> {NORM_GATE})")
     return SESState.normalized(amps)
 
 
@@ -96,11 +80,11 @@ def _load_state_or_density(path) -> SESState | DensityMatrixState:
     m = matrix_from_obj(obj)
     trace = complex(np.trace(m))
     if abs(trace - 1.0) > NORM_GATE:
-        raise _CliError(5, f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
+        raise InvalidDensityMatrix(f"density matrix trace deviates from 1 by {abs(trace - 1.0):.3e}")
     try:
         return DensityMatrixState(m / trace.real)
     except InvalidDensityMatrix as exc:
-        raise _CliError(5, f"invalid density matrix: {exc}") from exc
+        raise InvalidDensityMatrix(f"invalid density matrix: {exc}") from exc
 
 
 def cmd_compile(args) -> int:
@@ -166,11 +150,11 @@ def cmd_simulate(args) -> int:
     except ValueError:
         initial = _pure_state(load_json(raw))
         if initial.n != schedule.n:
-            raise _CliError(2, f"initial state is {initial.n}-dimensional, schedule is {schedule.n}")
+            raise ValueError(f"initial state is {initial.n}-dimensional, schedule is {schedule.n}")
         source = raw
     else:
         if not (1 <= index <= schedule.n):
-            raise _CliError(2, f"--initial index must be in 1..{schedule.n}, got {index}")
+            raise ValueError(f"--initial index must be in 1..{schedule.n}, got {index}")
         initial = SESState.basis(schedule.n, index - 1)
         source = f"|{index})"
     final = run_schedule(initial, schedule)
@@ -199,7 +183,7 @@ def cmd_expect(args) -> int:
     device = DeviceParams(g_max_mhz_over_2pi=args.gmax)
     shots = None if args.exact else args.shots
     if shots is None and not args.exact:
-        raise _CliError(2, "pass --shots N or --exact")
+        raise ValueError("pass --shots N or --exact")
     seed = _resolve_seed(args)
     estimate = expectation_protocol(state, obs, device, shots=shots, seed=seed)
     payload = {
@@ -221,9 +205,9 @@ def cmd_bench_decompose(args) -> int:
     try:
         sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
     except ValueError as exc:
-        raise _CliError(2, f"--sizes must be comma-separated integers: {exc}") from exc
+        raise ValueError(f"--sizes must be comma-separated integers: {exc}") from exc
     if not sizes or min(sizes) < 2 or args.reps < 1:
-        raise _CliError(2, "--sizes needs integers >= 2 and --reps >= 1")
+        raise ValueError("--sizes needs integers >= 2 and --reps >= 1")
     rows = []
     for n in sizes:
         rng = np.random.default_rng(20_000 + n)
@@ -302,24 +286,11 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except NotUnitary as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NotHermitian as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 6
-    except InvalidDensityMatrix as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (DecompositionError, OrthogonalityViolation, CommutatorViolation,
-            ConvergenceError, IterationOverflow) as exc:
-        print(f"error: verification failed: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, KeyError, TypeError, DimensionMismatch,
-            OSError, json.JSONDecodeError, MemoryError) as exc:
+    except SesqcError as exc:
+        prefix = "verification failed: " if exc.exit_code == 4 else ""
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return exc.exit_code
+    except (ValueError, KeyError, TypeError, OSError, MemoryError) as exc:  # incl. JSONDecodeError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

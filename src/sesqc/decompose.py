@@ -22,7 +22,6 @@ from .linalg import (
     max_abs,
     require_hermitian,
     require_unitary,
-    simultaneous_diag,
     unitary_diagonalize,
 )
 from .pulses import (
@@ -74,18 +73,16 @@ def _check_orthogonal(r: np.ndarray, name: str) -> np.ndarray:
 def kak_decompose(u) -> KAKDecomposition:
     """Split a unitary into real orthogonal factors around a diagonal phase.
 
-    Works through ``chi = U @ U.T``, which is unitary symmetric, so its real
-    and imaginary parts commute and share a real orthogonal eigenbasis O1.
-    The diagonal of ``O1.T @ chi @ O1`` fixes D (phases halved onto the
-    branch (-pi/2, pi/2]), and O2 follows as ``U.T @ O1 @ exp(1j*D)``.
+    Works through :func:`~sesqc.linalg.unitary_diagonalize` of ``chi = U @
+    U.T``, symmetrised exactly: a symmetric unitary has a real orthogonal
+    eigenbasis O1, and its phases on (-pi, pi], halved, give D on the branch
+    (-pi/2, pi/2].  O2 follows as ``U.T @ O1 @ exp(1j*D)``.
     """
     um = require_unitary(u, name="U")
     chi = um @ um.T
-    basis, _, _ = simultaneous_diag(chi.real, chi.imag)  # real, as both inputs are
-    o1 = _check_orthogonal(np.ascontiguousarray(basis), "O1")
-    d2 = np.diagonal(o1.T @ chi @ o1)
-    d = -0.5 * np.angle(d2)
-    d[d == -np.pi / 2] = np.pi / 2
+    v, lam = unitary_diagonalize((chi + chi.T) / 2.0)
+    o1 = _check_orthogonal(np.ascontiguousarray(v), "O1")
+    d = lam / 2.0
     o2 = um.T @ (o1 * np.exp(1j * d))
     imag = max_abs(o2.imag)
     if imag > ORTHOGONALITY_TOL:
@@ -147,11 +144,8 @@ def aba_decompose(u) -> ABADecomposition:
 
 def _symmetric_log_generator(um: np.ndarray) -> np.ndarray:
     """Real symmetric G with ``exp(-1j*G) = U`` for symmetric unitary U."""
-    us = (um + um.T) / 2.0
-    basis, re_vals, im_vals = simultaneous_diag(us.real, us.imag)
-    lam = -np.angle(re_vals + 1j * im_vals)
-    lam[lam == -np.pi] = np.pi
-    g = (basis * lam) @ basis.T
+    v, lam = unitary_diagonalize((um + um.T) / 2.0)  # real V, as the input is symmetric
+    g = (v * lam) @ v.T
     return (g + g.T) / 2.0
 
 

@@ -1,7 +1,9 @@
 """Exception types raised across the package.
 
 Every error derives from :class:`SesqcError` so callers (notably the CLI)
-can catch domain failures without swallowing programming errors.
+can catch domain failures without swallowing programming errors.  Each type
+carries the ``sesqc`` exit code it maps to: 4 (a verification failure)
+unless it overrides it.
 """
 from __future__ import annotations
 
@@ -9,17 +11,25 @@ from __future__ import annotations
 class SesqcError(Exception):
     """Base class for all sesqc domain errors."""
 
+    exit_code = 4
+
 
 class DimensionMismatch(SesqcError):
     """Operands act on different subspace dimensions."""
+
+    exit_code = 2
 
 
 class NotUnitary(SesqcError):
     """Matrix fails the unitarity check at the required tolerance."""
 
+    exit_code = 3
+
 
 class NotHermitian(SesqcError):
     """Matrix fails the Hermiticity check at the required tolerance."""
+
+    exit_code = 6
 
 
 class CommutatorViolation(SesqcError):
@@ -54,5 +64,11 @@ class IterationOverflow(SesqcError):
     """The weight-reduction loop exceeded its guaranteed iteration bound."""
 
 
-class InvalidDensityMatrix(SesqcError):
+class InvalidState(SesqcError):
+    """State is not normalised, or not a valid density matrix."""
+
+    exit_code = 5
+
+
+class InvalidDensityMatrix(InvalidState):
     """Matrix is not Hermitian, positive semidefinite and trace-one."""

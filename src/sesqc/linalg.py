@@ -4,9 +4,10 @@ All routines work on plain ``numpy`` arrays.  Matrix-valued preconditions
 (symmetric, Hermitian, unitary) are enforced by the ``require_*`` validators
 which either return a cleaned-up copy or raise a domain error.  Only this
 module decides how close a matrix must be to Hermitian, symmetric or
-diagonal, always relative to the input's own scale (max|A|, or the larger
-max row sum of |P|, |Q| in :func:`simultaneous_diag`), so s*A fares as A
-does; unitaries are unit-scale, so :func:`require_unitary` bounds absolutely.
+diagonal, always relative to the input's own scale, so c*A fares as A does:
+max|A|, or in :func:`simultaneous_diag` one joint scale s for its cluster
+widths, commutator and residual, the larger max row sum of |P|, |Q|.
+Unitaries are unit-scale, so :func:`require_unitary` bounds absolutely.
 
 Eigendecompositions run on the round-robin Jacobi kernel in
 :mod:`sesqc._kernels` and are post-processed to a deterministic form:
@@ -107,12 +108,13 @@ def _fix_column_signs(v: np.ndarray) -> np.ndarray:
 
 
 def _verified_eig(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, sign-fixed ``(v, w)``; must rebuild ``a`` to ``SPECTRAL_RESIDUAL_TOL`` max|a|."""
+    """Sorted, sign-fixed ``(v, w)``; must rebuild ``a`` to ``SPECTRAL_RESIDUAL_TOL``
+    max|a|, or to n subnormal quanta where that bound would underflow."""
     order = np.argsort(w, kind="stable")
     v = _fix_column_signs(v[:, order])
     w = w[order]
     residual = max_abs((v * w) @ v.conj().T - a)
-    bound = SPECTRAL_RESIDUAL_TOL * max_abs(a)
+    bound = max(SPECTRAL_RESIDUAL_TOL * max_abs(a), len(w) * np.finfo(float).smallest_subnormal)
     if residual > bound:
         raise DecompositionError(f"spectral residual {residual:.3e} exceeds {bound:.3e}")
     return v, w
@@ -155,15 +157,16 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly diagonalise two commuting Hermitian matrices.
 
     Returns ``(basis, p_vals, q_vals)``.  The basis diagonalises ``p`` with
-    eigenvalues ascending; inside each (near-)degenerate cluster of ``p`` it
-    is rotated to diagonalise ``q``.  When both inputs are real symmetric the
-    basis comes back real orthogonal.
+    eigenvalues ascending; inside each cluster of ``p`` eigenvalues at most
+    1e-8 s apart (1e-4 s on the retry) it is rotated to diagonalise ``q``.
+    When both inputs are real symmetric the basis comes back real orthogonal.
 
     Raises :class:`CommutatorViolation` when max|PQ - QP| exceeds 1e-8 s^2,
-    or the basis leaves off-diagonal residue above 1e-8 s, where s is the
-    larger max row sum of |P| and |Q|.  That norm bounds the spectral one,
-    which is 1 for the Hermitian parts of a unitary, though their entries
-    can be as small as 1/sqrt(n).
+    or the basis leaves off-diagonal residue above 1e-8 s.  Every tolerance
+    uses the one joint scale s, the larger max row sum of |P| and |Q|.  That
+    norm bounds the spectral one, which is 1 for the Hermitian parts of a
+    unitary, though their entries can be as small as 1/sqrt(n), and one part
+    can vanish altogether.
     """
     pw = require_hermitian(p, name="P")
     qw = require_hermitian(q, name="Q")
@@ -185,15 +188,17 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     p_basis, p_sorted = eig(pw)
 
     # P's degenerate runs are split by Q.  Jacobi mixes the vectors of two
-    # eigenvalues a gap g apart by up to ~1e-13 max|P| / g, which can leave Q
-    # a cross term above the bound for g up to ~1e-5 max|P|; then the runs up
-    # to NEAR_RTOL max|P| wide are split by Q instead, and Q's clusters in them by P.
+    # eigenvalues a gap g apart by up to ~1e-13 s / g, which can leave Q a
+    # cross term above the bound for g up to ~1e-5 s; then the runs up to
+    # NEAR_RTOL s wide are split by Q instead, and Q's clusters in them by P.
+    # Widths are in s because P can be ~0 (U = i*reflection): its rounding
+    # noise must then form one cluster for Q to split.
     for near in (CLUSTER_RTOL, NEAR_RTOL):
         basis = p_basis.copy(order="K")  # same layout, so the products round the same
-        for lo, hi in _runs(p_sorted, near * max_abs(pw)):
+        for lo, hi in _runs(p_sorted, near * scale):
             block, q_sorted = _diagonalise_in(basis[:, lo:hi], qw, eig)
             if near == NEAR_RTOL:
-                for a, b in _runs(q_sorted, CLUSTER_RTOL * max_abs(qw)):
+                for a, b in _runs(q_sorted, CLUSTER_RTOL * scale):
                     block[:, a:b] = _diagonalise_in(block[:, a:b], pw, eig)[0]
             basis[:, lo:hi] = block
         basis = _fix_column_signs(basis)
@@ -213,15 +218,15 @@ def unitary_diagonalize(u) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(V, lam)`` with phase angles ``lam`` on the branch (-pi, pi].
     Works through the commuting Hermitian pair (U+U†)/2 and (U-U†)/2i, so
     repeated eigenphases are handled by the cluster logic in
-    :func:`simultaneous_diag`.
+    :func:`simultaneous_diag`, and each phase is read from its pair of
+    eigenvalues.  For an exactly symmetric U both parts are real, and V
+    comes back real orthogonal.
     """
     um = require_unitary(u, name="U")
     h1 = (um + um.conj().T) / 2.0
     h2 = (um - um.conj().T) / 2.0j
-    basis, _, _ = simultaneous_diag(h1, h2)
-    v = basis.astype(np.complex128, copy=False)
-    d = np.diagonal(v.conj().T @ um @ v)
-    lam = -np.angle(d)
+    v, cos_vals, sin_vals = simultaneous_diag(h1, h2)
+    lam = -np.angle(cos_vals + 1j * sin_vals)
     lam[lam == -np.pi] = np.pi
     residual = max_abs((v * np.exp(-1j * lam)) @ v.conj().T - um)
     if residual > DIAG_RESIDUAL_TOL:

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import golden
+import sesqc.cli
 import sesqc.pulses
+from sesqc import errors
 from sesqc.cli import main
 from sesqc.formats import load_schedule, save_matrix, save_schedule, save_state
 from sesqc.linalg import global_phase_fidelity, random_unitary
@@ -116,6 +118,26 @@ def test_compile_unsaturated_pulse_exits_4(tmp_path, capsys, monkeypatch):
     assert "error" in err
 
 
+@pytest.mark.parametrize("error, code, prefix", [
+    (errors.DimensionMismatch, 2, ""),
+    (errors.NotUnitary, 3, ""),
+    (errors.DecompositionError, 4, "verification failed: "),
+    (errors.CommutatorViolation, 4, "verification failed: "),
+    (errors.NonUniformWeights, 4, "verification failed: "),
+    (errors.SesqcError, 4, "verification failed: "),
+    (errors.InvalidState, 5, ""),
+    (errors.InvalidDensityMatrix, 5, ""),
+    (errors.NotHermitian, 6, ""),
+])
+def test_each_error_type_owns_its_exit_code(tmp_path, capsys, monkeypatch, error, code, prefix):
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(sesqc.cli, "compile_unitary", fail)
+    got, _, err = run_cli(capsys, "compile", str(write_unitary(tmp_path)), "--out", str(tmp_path / "s.json"))
+    assert (got, err) == (code, f"error: {prefix}boom\n")
+
+
 def test_compile_counts_eigensolves(tmp_path, capsys, eig_calls):
     """Two for the ABA generators; the pulses are exponentiated without one."""
     u_path = write_unitary(tmp_path, n=5)
@@ -178,6 +200,16 @@ def test_prepare_rejects_unnormalized_state(tmp_path, capsys):
     code, _, err = run_cli(capsys, "prepare", str(path))
     assert code == 5
     assert "norm" in err
+
+
+def test_prepare_three_step_minus_basis_state(tmp_path, capsys):
+    """(0, -1) takes the KAK step through -i times a reflection, whose Hermitian part is ~0."""
+    path = tmp_path / "state.json"
+    save_state(path, np.array([0.0, -1.0], dtype=complex))
+    out = tmp_path / "prep.json"
+    code, stdout, err = run_cli(capsys, "prepare", str(path), "--mode", "three-step", "--out", str(out), "--json")
+    assert code == 0, err
+    assert json.loads(stdout)["fidelity"] >= 1 - 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -224,11 +224,14 @@ def structured_unitary(kind, n, rng):
     if kind == "repeated_phases":
         v = random_unitary(n, rng)
         return (v * np.exp(-1j * rng.choice([0.4, -2.9, np.pi], size=n))) @ v.conj().T
+    if kind == "i_reflection":  # Hermitian part ~0: only rounding noise to cluster by
+        v = random_unitary(n, rng)
+        return 1j * (v * rng.choice([-1.0, 1.0], size=n)) @ v.conj().T
     return symmetric_unitary_with_asymmetry(n, rng, {"asym_below": 0.5e-10, "asym_above": 2e-10}[kind])
 
 
 STRUCTURED_KINDS = ("permutation", "fourier", "fourier_conj", "branch_cut", "minus_identity",
-                    "repeated_phases", "asym_below", "asym_above")
+                    "repeated_phases", "i_reflection", "asym_below", "asym_above")
 
 
 @settings(deadline=None, max_examples=100)

@@ -45,6 +45,19 @@ def test_eigensolves_reconstruct_at_any_scale(n, seed, s):
     assert max_abs((v * w) @ v.conj().T - h) <= 1e-12 * max_abs(h)
 
 
+@pytest.mark.parametrize("n", [2, 5, 8, 16, 32])
+@pytest.mark.parametrize("s", [1e-315, 1e-318, 1e-320, 1e-322])
+def test_eigensolves_accept_all_subnormal_input(n, s):
+    """Below max|A| ~ 1e-314 every entry is subnormal and 1e-9 max|A|
+    underflows to 0; the residual is then a few subnormal quanta."""
+    a = s * gaussian(n, n, complex_=False)
+    q, lam = symmetric_eig(a)
+    assert max_abs((q * lam) @ q.T - a) <= n * np.finfo(float).smallest_subnormal
+    h = s * gaussian(n, n, complex_=True)
+    v, w = hermitian_eig(h)
+    assert max_abs((v * w) @ v.conj().T - h) <= n * np.finfo(float).smallest_subnormal
+
+
 @settings(deadline=None, max_examples=40)
 @given(SIZES, SEEDS, SCALES)
 def test_spectral_decompose_at_any_scale(n, seed, s):

@@ -249,6 +249,20 @@ def test_basis_target_round_trip():
     assert abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2 >= 1 - 1e-8
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("phase", [1, -1, 1j, -1j])
+def test_three_step_prepares_every_basis_state(n, phase):
+    """For (0, -1), U U.T of the eigenbasis that the KAK step splits is
+    -i times a reflection, whose Hermitian part is ~0."""
+    for index in range(n):
+        amplitudes = np.zeros(n, dtype=complex)
+        amplitudes[index] = phase
+        target = SESState(amplitudes)
+        schedule, _ = prepare_state_schedule(target, mode="three_step")
+        final = run_schedule(SESState.basis(n, 0), schedule)
+        assert abs(np.vdot(target.amplitudes, final.amplitudes)) ** 2 >= 1 - 1e-8, index
+
+
 def test_prepare_rejects_unknown_mode():
     with pytest.raises(ValueError):
         prepare_state_schedule(uniform_state(3), mode="compressed")
