@@ -37,14 +37,21 @@ def _rounds(n: int) -> tuple[np.ndarray, ...]:
     return tuple(rounds)
 
 
+def unit_scale(peak: float) -> float:
+    """The power of two that scales ``peak`` into [0.5, 1), or an all-subnormal
+    peak to at least 2^-52.  Scaling by it is exact for every entry it keeps
+    in the normal range."""
+    return math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
+
+
 def _diagonalise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonalise the work array ``a``; return ``(w, v)``."""
     n = a.shape[0]
     v = np.eye(n, dtype=a.dtype)
-    # Scaling by a power of two is exact: max|A| in [0.5, 1) (an all-subnormal
-    # A to at least 2^-52) makes the rotations and the stop the same at any scale.
+    # Scaling by a power of two is exact: max|A| in [0.5, 1) makes the
+    # rotations and the stop the same at any scale.
     peak = float(np.max(np.abs(a))) if n else 0.0
-    unit = math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
+    unit = unit_scale(peak)
     a *= unit
     tol = 1e-13 * (peak * unit)
     iu = np.triu_indices(n, k=1)
@@ -73,7 +80,8 @@ def _diagonalise(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             j[q, p] = -s.conj()
             a = j.conj().T @ a @ j
             v = v @ j
-    return np.diagonal(a).real / unit, v
+    with np.errstate(over="ignore"):  # an eigenvalue beyond float range is inf; linalg refuses it
+        return np.diagonal(a).real / unit, v
 
 
 def jacobi_real(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

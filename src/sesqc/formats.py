@@ -9,7 +9,10 @@ Three document shapes, all plain JSON so doubles round-trip bit-exactly
 * schedule: ``{"n", "g_max_mhz_over_2pi", "steps": [{"label", "theta",
   "K": [[...], ...]}, ...], "total_theta", "duration_ns", "metadata"}``
   with steps in execution order.  Angles are canonical; the stored
-  duration is checked against the angles on load.
+  duration is checked against the angles on load.  A schedule file is
+  written one pulse at a time, so the writer holds one K as Python
+  objects, not the O(n^3) numbers of a whole linear schedule; reading
+  still builds the whole document.
 
 Every number is read by one rule: a JSON integer or float, never a
 boolean, a string or ``null``, in an array of exactly the expected shape.
@@ -90,25 +93,27 @@ def state_from_obj(obj) -> np.ndarray:
     return _complex(obj["amplitudes"], (n,), "'amplitudes'")
 
 
-def schedule_to_obj(schedule: PulseSchedule, source: str = "", seed: int | None = None) -> dict:
+def _schedule_fields(schedule: PulseSchedule, source: str, seed: int | None) -> dict:
+    """The schedule document in field order, its ``"steps"`` a lazy iterator of
+    step objects, so :func:`save_schedule` can encode one pulse at a time."""
     metadata: dict = {"source": source}
     if seed is not None:
         metadata["seed"] = int(seed)
     return {
         "n": int(schedule.n),
         "g_max_mhz_over_2pi": float(schedule.device.g_max_mhz_over_2pi),
-        "steps": [
-            {
-                "label": step.label,
-                "theta": float(step.theta),
-                "K": step.k.tolist(),
-            }
-            for step in schedule.steps
-        ],
+        "steps": ({"label": step.label, "theta": float(step.theta), "K": step.k.tolist()}
+                  for step in schedule.steps),
         "total_theta": float(schedule.total_angle),
         "duration_ns": float(schedule.duration_ns),
         "metadata": metadata,
     }
+
+
+def schedule_to_obj(schedule: PulseSchedule, source: str = "", seed: int | None = None) -> dict:
+    obj = _schedule_fields(schedule, source, seed)
+    obj["steps"] = list(obj["steps"])
+    return obj
 
 
 def schedule_from_obj(obj) -> PulseSchedule:
@@ -147,8 +152,12 @@ def schedule_from_obj(obj) -> PulseSchedule:
     return schedule
 
 
+def _dumps(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"))
+
+
 def save_json(path, obj: dict) -> None:
-    Path(path).write_text(json.dumps(obj, separators=(",", ":")) + "\n")
+    Path(path).write_text(_dumps(obj) + "\n")
 
 
 def load_json(path) -> dict:
@@ -175,7 +184,20 @@ def load_state(path) -> np.ndarray:
 
 
 def save_schedule(path, schedule: PulseSchedule, source: str = "", seed: int | None = None) -> None:
-    save_json(path, schedule_to_obj(schedule, source=source, seed=seed))
+    """Write the bytes :func:`save_json` writes for :func:`schedule_to_obj`,
+    encoding one step at a time: a dense K is n^2 numbers per pulse, and the
+    whole document as Python objects is O(n^3)."""
+    with open(path, "w") as f:
+        for i, (key, value) in enumerate(_schedule_fields(schedule, source, seed).items()):
+            f.write(("," if i else "{") + _dumps(key) + ":")
+            if key == "steps":
+                f.write("[")
+                for j, step in enumerate(value):
+                    f.write(("," if j else "") + _dumps(step))
+                f.write("]")
+            else:
+                f.write(_dumps(value))
+        f.write("}\n")
 
 
 def load_schedule(path) -> PulseSchedule:

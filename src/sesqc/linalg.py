@@ -40,6 +40,7 @@ SPECTRAL_RESIDUAL_TOL = 1e-9
 CLUSTER_RTOL = 1e-8
 NEAR_RTOL = 1e-4
 DIAG_RESIDUAL_TOL = 1e-8
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 def max_abs(a: np.ndarray) -> float:
@@ -56,6 +57,23 @@ def _as_square(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
+def _mean_with_mirror(m: np.ndarray, mirror: np.ndarray, tol: float, name: str, kind: str) -> np.ndarray:
+    """``(m + mirror) / 2`` in C order, once max|m - mirror| is within ``tol`` max|m|.
+
+    Above half the float range an entry and its mirror can sum (or differ)
+    beyond it, so there the mean of their halves is doubled, and an entry
+    equal to its mirror stays as it is.
+    """
+    peak = max_abs(m)
+    if peak > _HALF_MAX:
+        mean = 2.0 * _mean_with_mirror(m / 2.0, mirror / 2.0, tol, name, kind)
+        return np.ascontiguousarray(np.where(m == mirror, m, mean))
+    asym = max_abs(m - mirror)
+    if asym > tol * peak:
+        raise NotHermitian(f"{name} is not {kind} within {tol:g} max|A|")
+    return np.array((m + mirror) / 2.0, order="C")
+
+
 def require_real_symmetric(a, name: str = "matrix") -> np.ndarray:
     """Float64 symmetrised copy of ``a``; its asymmetry and imaginary part
     must be within ``SYMMETRY_TOL`` max|a|."""
@@ -68,19 +86,13 @@ def require_real_symmetric(a, name: str = "matrix") -> np.ndarray:
         if imag and imag > SYMMETRY_TOL * max_abs(c):  # exact input skips the scale
             raise NotHermitian(f"{name} has imaginary entries above {SYMMETRY_TOL:g} max|A|")
         r = c.real
-    asym = max_abs(r - r.T)
-    if asym and asym > SYMMETRY_TOL * max_abs(r):
-        raise NotHermitian(f"{name} is not symmetric within {SYMMETRY_TOL:g} max|A|")
-    return np.array((r + r.T) / 2.0, dtype=np.float64, order="C")
+    return _mean_with_mirror(r, r.T, SYMMETRY_TOL, name, "symmetric")
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     """Complex128 Hermitised copy of ``a``; asymmetry must be within ``HERMITIAN_TOL`` max|a|."""
     m = _as_square(np.asarray(a, dtype=np.complex128), name)
-    asym = max_abs(m - m.conj().T)
-    if asym and asym > HERMITIAN_TOL * max_abs(m):
-        raise NotHermitian(f"{name} is not Hermitian within {HERMITIAN_TOL:g} max|A|")
-    return np.array((m + m.conj().T) / 2.0, dtype=np.complex128, order="C")
+    return _mean_with_mirror(m, m.conj().T, HERMITIAN_TOL, name, "Hermitian")
 
 
 def require_unitary(a, name: str = "matrix") -> np.ndarray:
@@ -109,14 +121,18 @@ def _fix_column_signs(v: np.ndarray) -> np.ndarray:
 
 def _verified_eig(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sorted, sign-fixed ``(v, w)``; must rebuild ``a`` to ``SPECTRAL_RESIDUAL_TOL``
-    max|a|, or to n subnormal quanta where that bound would underflow."""
+    max|a|, or to n subnormal quanta where that bound would underflow.  The
+    rebuild runs in the kernel's power-of-two unit, so it cannot overflow."""
+    if not np.all(np.isfinite(w)):
+        raise DecompositionError("an eigenvalue lies beyond the float range")
     order = np.argsort(w, kind="stable")
     v = _fix_column_signs(v[:, order])
     w = w[order]
-    residual = max_abs((v * w) @ v.conj().T - a)
-    bound = max(SPECTRAL_RESIDUAL_TOL * max_abs(a), len(w) * np.finfo(float).smallest_subnormal)
-    if residual > bound:
-        raise DecompositionError(f"spectral residual {residual:.3e} exceeds {bound:.3e}")
+    unit = _kernels.unit_scale(max_abs(a))
+    residual = max_abs((v * (w * unit)) @ v.conj().T - a * unit)
+    bound = max(SPECTRAL_RESIDUAL_TOL * max_abs(a), len(w) * np.finfo(float).smallest_subnormal) * unit
+    if not residual <= bound:
+        raise DecompositionError(f"spectral residual {residual / unit:.3e} exceeds {bound / unit:.3e}")
     return v, w
 
 
@@ -173,12 +189,15 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if pw.shape != qw.shape:
         raise DimensionMismatch(f"P is {pw.shape}, Q is {qw.shape}")
 
+    # Scaled by a power of two (exact), so that s^2 and PQ - QP cannot overflow
+    unit = _kernels.unit_scale(max(max_abs(pw), max_abs(qw)))
+    pw, qw = pw * unit, qw * unit
     scale = max(float(np.abs(m).sum(axis=1).max(initial=0.0)) for m in (pw, qw))
     comm = max_abs(pw @ qw - qw @ pw)
-    bound = DIAG_RESIDUAL_TOL * scale * scale
-    if comm > bound:
+    if not comm <= DIAG_RESIDUAL_TOL * scale * scale:
         raise CommutatorViolation(
-            f"max|PQ - QP| = {comm:.3e} exceeds {bound:.3e}; no shared eigenbasis"
+            f"max|PQ - QP| = {comm / (scale * scale):.3e} s^2 exceeds {DIAG_RESIDUAL_TOL:g} s^2; "
+            "no shared eigenbasis"
         )
 
     # .conj() of a real array is the array itself, so one path serves both cases
@@ -205,9 +224,9 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         p_full, q_full = (basis.conj().T @ m @ basis for m in (pw, qw))
         off = max(max_abs(m - np.diag(np.diagonal(m))) for m in (p_full, q_full))
         if off <= DIAG_RESIDUAL_TOL * scale:
-            return basis, np.diagonal(p_full).real.copy(), np.diagonal(q_full).real.copy()
+            return basis, np.diagonal(p_full).real / unit, np.diagonal(q_full).real / unit
     raise CommutatorViolation(
-        f"joint diagonalisation left off-diagonal residue {off:.3e}; "
+        f"joint diagonalisation left off-diagonal residue {off / scale:.3e} s; "
         "inputs commute only approximately"
     )
 
@@ -229,7 +248,7 @@ def unitary_diagonalize(u) -> tuple[np.ndarray, np.ndarray]:
     lam = -np.angle(cos_vals + 1j * sin_vals)
     lam[lam == -np.pi] = np.pi
     residual = max_abs((v * np.exp(-1j * lam)) @ v.conj().T - um)
-    if residual > DIAG_RESIDUAL_TOL:
+    if not residual <= DIAG_RESIDUAL_TOL:
         raise DecompositionError(
             f"spectral reconstruction residual {residual:.3e} exceeds {DIAG_RESIDUAL_TOL}"
         )

@@ -1,9 +1,12 @@
 """JSON document round-trip and validation tests."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sesqc.decompose import compile_unitary
 from sesqc.formats import (
@@ -23,6 +26,7 @@ from sesqc.formats import (
 )
 from sesqc.linalg import random_unitary
 from sesqc.pulses import DeviceParams, PulseSchedule, PulseStep
+from sesqc.stateprep import SESState, prepare_state_schedule
 
 
 def sample_schedule():
@@ -82,6 +86,64 @@ def test_double_round_trip_is_stable(tmp_path):
     first = schedule_to_obj(schedule, source="compile")
     second = schedule_to_obj(schedule_from_obj(first), source="compile")
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+# ---------------------------------------------------------------------------
+# the streaming schedule writer
+
+K_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-310, 1.0, -1.0]),
+                      st.floats(-1.0, 1.0))
+LABELS = st.one_of(st.text(), st.text(alphabet='"\\\'/\n\t\x00\x7fé中\u2028\U0001f600'))
+
+
+@st.composite
+def pulse_step(draw, n):
+    """A step whose K is diagonal, one symmetric pair or dense."""
+    kind = draw(st.sampled_from(["diagonal", "pair", "dense"]))
+    k = np.zeros((n, n))
+    if kind == "diagonal":
+        k[np.diag_indices(n)] = draw(st.lists(K_ENTRIES, min_size=n, max_size=n))
+    elif kind == "pair" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        k[i, j] = k[j, i] = draw(K_ENTRIES)
+    else:
+        upper = np.triu_indices(n)
+        k[upper] = draw(st.lists(K_ENTRIES, min_size=upper[0].size, max_size=upper[0].size))
+        k.T[upper] = k[upper]
+    return PulseStep(k=k, theta=draw(st.floats(0.0, 10.0)), label=draw(LABELS))
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(1, 8))
+    device = DeviceParams(g_max_mhz_over_2pi=draw(st.floats(1e-3, 1e3)))
+    return PulseSchedule(n=n, steps=tuple(draw(st.lists(pulse_step(n), max_size=4))), device=device)
+
+
+@settings(deadline=None, max_examples=150)
+@given(schedule=schedules(), source=LABELS, seed=st.none() | st.integers(-2**63, 2**64))
+@example(schedule=PulseSchedule(n=1, steps=()), source="", seed=None)
+def test_save_schedule_writes_json_dumps_of_obj(tmp_path_factory, schedule, source, seed):
+    """One pulse at a time, the writer gives the bytes of the whole document."""
+    path = tmp_path_factory.mktemp("stream") / "sched.json"
+    save_schedule(path, schedule, source=source, seed=seed)
+    want = json.dumps(schedule_to_obj(schedule, source, seed), separators=(",", ":")) + "\n"
+    assert path.read_bytes() == want.encode()
+
+
+def test_save_schedule_holds_one_pulse_at_a_time(tmp_path):
+    """A linear n = 64 schedule is 128 dense 64x64 K: held whole as Python
+    objects it peaked at 22.7 MB; encoded step by step it is ~0.4 MB."""
+    rng = np.random.default_rng(64)
+    a = rng.normal(size=64) + 1j * rng.normal(size=64)
+    schedule, _ = prepare_state_schedule(SESState(a / np.linalg.norm(a)), mode="linear")
+    tracemalloc.start()
+    try:
+        save_schedule(tmp_path / "sched.json", schedule, source="prepare:linear")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6
 
 
 def test_obj_round_trips_without_files():

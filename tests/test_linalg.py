@@ -28,6 +28,7 @@ from sesqc.linalg import (
     symmetric_eig,
     unitary_diagonalize,
 )
+from sesqc.observables import spectral_decompose
 from sesqc.pulses import PulseSchedule, PulseStep
 from sesqc.simulator import run_schedule
 from sesqc.stateprep import SESState
@@ -250,6 +251,34 @@ def test_eigensolves_reconstruct_at_extreme_scale(s):
     assert max_abs((v * w) @ v.conj().T - a) <= 1e-12 * max_abs(a)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 5, 8])
+@pytest.mark.parametrize("peak", [1e307, 1e308, 1.5e308])
+def test_eigensolves_reconstruct_near_float_max(peak, n):
+    """(A + A.T) / 2 overflowed above ~9e307, and the NaN residual passed, so
+    finite A came back with inf eigenvalues.  A is diagonally dominant here,
+    so its eigenvalues stay within float range."""
+    rng = np.random.default_rng(n)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    h = np.diag(rng.uniform(-1, 1, size=n)) + 0.005 * (z + z.conj().T) / max_abs(z)
+    h[0, 0] = 1.0
+    real = h.real * (peak / max_abs(h.real))
+    herm = h * (peak / max_abs(h))
+    assert np.array_equal(require_real_symmetric(real), real)
+    assert np.array_equal(require_hermitian(herm), herm)
+    obs = spectral_decompose(herm)
+    for a, (v, w) in ((real, symmetric_eig(real)), (real, hermitian_eig(real)),
+                      (herm, hermitian_eig(herm)), (herm, (obs.eigvecs, obs.eigvals))):
+        assert max_abs((v * (w / peak)) @ v.conj().T - a / peak) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("eig", [symmetric_eig, hermitian_eig])
+def test_eigensolves_refuse_eigenvalue_beyond_float_range(eig):
+    with pytest.raises(DecompositionError, match="beyond the float range"):
+        eig(np.full((2, 2), 1.5e308))
+
+
 @pytest.mark.parametrize("kernel, eig", [("jacobi_real", symmetric_eig), ("jacobi_herm", hermitian_eig)])
 def test_eigensolves_reject_wrong_eigendecomposition(monkeypatch, kernel, eig):
     """Eigenvalues off by 1e-6 relative fail the spectral residual check, though
@@ -328,7 +357,7 @@ def test_simultaneous_diag_rejects_noncommuting_at_any_scale(s):
 
 
 @pytest.mark.parametrize("repeats", [False, True])
-@pytest.mark.parametrize("s", [1e-12, 1.0, 1e6, 1e12])
+@pytest.mark.parametrize("s", [1e-12, 1.0, 1e6, 1e12, 1e300])
 def test_simultaneous_diag_accepts_commuting_at_any_scale(s, repeats):
     """An absolute residual bound refused commuting pairs from s = 1e6 up."""
     p, q = commuting_pair(6, np.random.default_rng(0), repeats=repeats)

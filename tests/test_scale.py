@@ -6,7 +6,7 @@ only, so it holds for any eigensolver behind them.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sesqc.decompose import compile_hamiltonian, schedule_unitary
@@ -80,10 +80,14 @@ def test_compile_hamiltonian_at_any_scale(n, seed, s, complex_):
 
 @settings(deadline=None, max_examples=40)
 @given(SIZES, SEEDS, SCALES)
+@example(6, 0, 1e160)
+@example(6, 0, 1e300)
 def test_noncommuting_pair_refused_at_any_scale(n, seed, s):
+    """Above s ~ 1e154 the bound 1e-8 s^2 and PQ - QP overflowed, and only the
+    final residual refused the pair, as commuting "only approximately"."""
     p = s * gaussian(n, seed, complex_=True)
     q = s * gaussian(n, seed + 1, complex_=True)
-    with pytest.raises(CommutatorViolation):
+    with pytest.raises(CommutatorViolation, match="no shared eigenbasis"):
         simultaneous_diag(p, q)
 
 
