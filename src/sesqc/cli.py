@@ -18,6 +18,7 @@ reports unless ``--json`` is passed.  When ``--seed`` is omitted the
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -229,7 +230,10 @@ def cmd_bench_decompose(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``sesqc`` argument parser, built once per process and shared by
+    every :func:`main` call; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="sesqc",
         description="Compile and simulate single-excitation-subspace pulse schedules.",
@@ -246,14 +250,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("unitary_file")
     p.add_argument("--out", default="schedule.json", help="output schedule path")
     add_common(p)
-    p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("prepare", help="compile a state-preparation schedule from |1)")
     p.add_argument("state_file")
     p.add_argument("--mode", choices=["linear", "three-step"], default="linear")
     p.add_argument("--out", default="schedule.json", help="output schedule path")
     add_common(p)
-    p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("simulate", help="run a schedule file and print the outcome as JSON")
     p.add_argument("schedule_file")
@@ -261,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1-based basis index or a state-file path (default: 1)")
     p.add_argument("--shots", type=int, default=None, help="also sample this many measurements")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_simulate, json=True)
+    p.set_defaults(json=True)
 
     p = sub.add_parser("expect", help="estimate an observable's expectation value")
     p.add_argument("observable_file")
@@ -271,21 +273,21 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--exact", action="store_true", help="use exact probabilities")
     p.add_argument("--seed", type=int, default=None)
     add_common(p)
-    p.set_defaults(func=cmd_expect)
 
     p = sub.add_parser("bench-decompose", help="time the three-pulse decomposition")
     p.add_argument("--sizes", default="8,16,32,64", help="comma-separated matrix sizes")
     p.add_argument("--reps", type=int, default=3, help="repetitions per size")
     add_common(p, gmax=False)
-    p.set_defaults(func=cmd_bench_decompose)
 
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # Looked up per call, so a rebinding of a cmd_* name (a test's patch, a tracer) takes effect
+    command = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return command(args)
     except SesqcError as exc:
         prefix = "verification failed: " if exc.exit_code == 4 else ""
         print(f"error: {prefix}{exc}", file=sys.stderr)

@@ -133,7 +133,6 @@ def schedule_from_obj(obj) -> PulseSchedule:
             _require(key in raw, f"step {idx} needs '{key}'")
         k = _numbers(raw["K"], (n, n), f"step {idx}: K")
         theta = float(_numbers(raw["theta"], (), f"step {idx}: 'theta'"))
-        _require(isinstance(raw["label"], str), f"step {idx}: 'label' must be a string")
         try:
             steps.append(PulseStep(k=k, theta=theta, label=raw["label"]))
         except (SesqcError, ValueError, TypeError) as exc:
@@ -186,9 +185,11 @@ def load_state(path) -> np.ndarray:
 def save_schedule(path, schedule: PulseSchedule, source: str = "", seed: int | None = None) -> None:
     """Write the bytes :func:`save_json` writes for :func:`schedule_to_obj`,
     encoding one step at a time: a dense K is n^2 numbers per pulse, and the
-    whole document as Python objects is O(n^3)."""
+    whole document as Python objects is O(n^3).  Every field but the steps
+    is formed before the file is opened."""
+    fields = _schedule_fields(schedule, source, seed)
     with open(path, "w") as f:
-        for i, (key, value) in enumerate(_schedule_fields(schedule, source, seed).items()):
+        for i, (key, value) in enumerate(fields.items()):
             f.write(("," if i else "{") + _dumps(key) + ":")
             if key == "steps":
                 f.write("[")

@@ -8,6 +8,9 @@ diagonal, always relative to the input's own scale, so c*A fares as A does:
 max|A|, or in :func:`simultaneous_diag` one joint scale s for its cluster
 widths, commutator and residual, the larger max row sum of |P|, |Q|.
 Unitaries are unit-scale, so :func:`require_unitary` bounds absolutely.
+A real matrix equal to its transpose bit for bit, as every K sesqc builds
+is, is its own symmetrised mean, so :func:`require_real_symmetric` copies it
+without measuring it.
 
 Eigendecompositions run on the round-robin Jacobi kernel in
 :mod:`sesqc._kernels` and are post-processed to a deterministic form:
@@ -86,6 +89,9 @@ def require_real_symmetric(a, name: str = "matrix") -> np.ndarray:
         if imag and imag > SYMMETRY_TOL * max_abs(c):  # exact input skips the scale
             raise NotHermitian(f"{name} has imaginary entries above {SYMMETRY_TOL:g} max|A|")
         r = c.real
+    bits = r.view(np.int64)  # bit for bit, so a 0.0 mirroring -0.0 is still averaged to +0.0
+    if np.array_equal(bits, bits.T):
+        return np.array(r, order="C")  # what _mean_with_mirror returns for it, at any scale
     return _mean_with_mirror(r, r.T, SYMMETRY_TOL, name, "symmetric")
 
 

@@ -49,6 +49,8 @@ class PulseStep:
     label: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.label, str):  # else save_schedule fails mid-file
+            raise TypeError(f"label must be a string, got {type(self.label).__name__}")
         km = require_real_symmetric(self.k, name="K")
         overshoot = max_abs(km) - 1.0
         if overshoot > K_RANGE_SLACK:

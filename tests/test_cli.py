@@ -1,6 +1,10 @@
 """End-to-end CLI tests: exit codes, JSON payloads, file handoff."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -530,3 +534,53 @@ def test_bench_decompose_reports(capsys):
 def test_bench_decompose_rejects_bad_sizes(capsys):
     assert run_cli(capsys, "bench-decompose", "--sizes", "abc")[0] == 2
     assert run_cli(capsys, "bench-decompose", "--sizes", "1,2")[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# many commands in one process
+
+
+def test_repeated_main_calls_match_first_runs(tmp_path, capsys):
+    """The parser is built once per process, so a call that follows others,
+    an argparse error among them, must print and write what it does when it
+    is the first call of a fresh interpreter."""
+    u_path = write_unitary(tmp_path)
+    state_path = write_target(tmp_path)
+    obs_path, _ = make_observable(tmp_path, n=5)
+    outs = [tmp_path / f"s{i}.json" for i in range(3)]
+    commands = [  # (argv, the schedule file it writes)
+        (["compile", str(u_path), "--out", str(outs[0]), "--json"], outs[0]),
+        (["prepare", str(state_path), "--mode", "linear", "--out", str(outs[1]), "--json"], outs[1]),
+        (["prepare", str(state_path), "--mode", "three-step", "--out", str(outs[2])], outs[2]),
+        (["simulate", str(outs[1]), "--shots", "100", "--seed", "5"], None),
+        (["simulate", str(outs[2]), "--initial", str(state_path)], None),
+        (["expect", str(obs_path), str(state_path), "--exact", "--json"], None),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(Path(sesqc.cli.__file__).parents[1]))
+    first = []
+    for argv, out in commands:
+        proc = subprocess.run([sys.executable, "-m", "sesqc.cli", *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        first.append((proc.stdout, out and out.read_bytes()))
+
+    for out in outs:
+        out.unlink()
+    for _ in range(2):  # the second pass overwrites the files of the first
+        for (argv, out), (stdout, written) in zip(commands, first):
+            with pytest.raises(SystemExit) as exc:
+                main(["prepare", str(state_path), "--mode", "bogus"])
+            assert exc.value.code == 2
+            capsys.readouterr()
+            assert run_cli(capsys, *argv)[:2] == (0, stdout)
+            assert (out and out.read_bytes()) == written
+    assert sesqc.cli.build_parser() is sesqc.cli.build_parser()
+
+
+def test_dispatch_follows_a_rebound_command(tmp_path, capsys, monkeypatch):
+    """A cmd_* patched after the parser is built is the one that runs."""
+    sesqc.cli.build_parser()
+    seen = []
+    monkeypatch.setattr(sesqc.cli, "cmd_simulate", lambda args: seen.append(args.schedule_file) or 7)
+    assert main(["simulate", "sched.json"]) == 7
+    assert seen == ["sched.json"]

@@ -131,6 +131,34 @@ def test_save_schedule_writes_json_dumps_of_obj(tmp_path_factory, schedule, sour
     assert path.read_bytes() == want.encode()
 
 
+class Tag(str):
+    pass
+
+
+@settings(deadline=None, max_examples=100)
+@given(label=st.one_of(LABELS, st.builds(Tag, st.text()), st.binary(), st.integers(), st.floats(),
+                       st.none(), st.lists(st.text(), max_size=2), st.builds(object)))
+@example(label=b"x")
+def test_save_schedule_leaves_no_partial_file(tmp_path_factory, label):
+    """A step whose label is not a string is refused, so every schedule that
+    can be built is written whole: save_schedule encodes steps mid-file."""
+    try:
+        step = PulseStep(k=np.eye(2), theta=1.0, label=label)
+    except TypeError:
+        assert not isinstance(label, str)
+        return
+    path = tmp_path_factory.mktemp("label") / "sched.json"
+    save_schedule(path, PulseSchedule(n=2, steps=(step, step)))
+    assert [s.label for s in load_schedule(path).steps] == [label, label]
+
+
+def test_save_schedule_opens_no_file_for_a_broken_document(tmp_path):
+    path = tmp_path / "sched.json"
+    with pytest.raises(AttributeError):
+        save_schedule(path, PulseSchedule(n=1, steps=(), device=None))
+    assert not path.exists()
+
+
 def test_save_schedule_holds_one_pulse_at_a_time(tmp_path):
     """A linear n = 64 schedule is 128 dense 64x64 K: held whole as Python
     objects it peaked at 22.7 MB; encoded step by step it is ~0.4 MB."""

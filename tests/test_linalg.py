@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -15,7 +15,9 @@ from sesqc.errors import (
     NotUnitary,
 )
 from sesqc.linalg import (
+    SYMMETRY_TOL,
     _fix_column_signs,
+    _mean_with_mirror,
     expm_generator,
     global_phase_fidelity,
     hermitian_eig,
@@ -97,6 +99,48 @@ def test_require_real_symmetric_real_path_keeps_checks():
         require_real_symmetric(np.zeros((2, 3), dtype=np.int64))
     with pytest.raises(NotHermitian):
         require_real_symmetric(np.array([[0, 1], [0, 0]]))
+
+
+# Subnormals, signed zeros and magnitudes up to 1.5e308, beyond half the float range
+ENTRIES = st.one_of(
+    st.floats(-1.5e308, 1.5e308),
+    st.floats(-1e-300, 1e-300),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.5e308, -1.5e308]),
+)
+
+
+@st.composite
+def mirrored(draw):
+    """A matrix equal to its transpose by value; each zero's sign is drawn on
+    either side of the diagonal, so most draws are bit-symmetric and some hold
+    a 0.0 mirroring -0.0."""
+    n = draw(st.integers(1, 6))
+    upper = np.triu_indices(n)
+    a = np.zeros((n, n))
+    a[upper] = draw(st.lists(ENTRIES, min_size=upper[0].size, max_size=upper[0].size))
+    a.T[upper] = a[upper]
+    flip = draw(arrays(np.bool_, (n, n))) & (a == 0.0)
+    a[flip] = -a[flip]
+    return a
+
+
+@settings(deadline=None, max_examples=300)
+@given(mirrored(), st.booleans())
+@example(np.array([[1.0, 0.0], [-0.0, 2.0]]), False)
+@example(np.array([[-0.0, -0.0], [-0.0, 1.5e308]]), True)
+def test_require_real_symmetric_returns_the_mean_of_mirrored_input(a, complex_):
+    """Bit-symmetric input skips the averaging, so it must give the averaged bytes."""
+    want = _mean_with_mirror(a, a.T, SYMMETRY_TOL, "K", "symmetric")
+    got = require_real_symmetric(a.astype(np.complex128) if complex_ else a)
+    assert got.dtype == np.float64 and got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    assert not np.shares_memory(got, a)
+
+
+def test_require_real_symmetric_averages_signed_zero_mirrors():
+    """0.0 and -0.0 are equal as values but not as bits: their mean is +0.0 on both sides."""
+    got = require_real_symmetric(np.array([[1.0, 0.0], [-0.0, 2.0]]))
+    assert not np.signbit(got).any()
 
 
 def test_require_hermitian_accepts_and_rejects():

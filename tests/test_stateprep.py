@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 from sesqc.errors import AlreadyUniform, IterationOverflow, NonUniformWeights
@@ -157,6 +159,34 @@ def test_reduce_to_uniform_move_bound(n):
         np.testing.assert_allclose(
             final.amplitudes, uniform_state(n).amplitudes, atol=1e-9
         )
+
+
+@st.composite
+def prep_targets(draw):
+    """Normalised n = 2..16 targets: near a basis state, of uniform weight, or
+    of drawn weights, each with drawn phases."""
+    n = draw(st.integers(2, 16))
+    kind = draw(st.sampled_from(["near_basis", "uniform", "phased"]))
+    phases = np.array(draw(st.lists(st.floats(0.0, 2 * np.pi), min_size=n, max_size=n)))
+    if kind == "near_basis":
+        mags = np.array(draw(st.lists(st.floats(0.0, 1e-3), min_size=n, max_size=n)))
+        mags[draw(st.integers(0, n - 1))] = 1.0
+    elif kind == "uniform":
+        mags = np.ones(n)
+    else:
+        mags = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=n, max_size=n)))
+    return SESState.normalized(mags * np.exp(1j * phases))
+
+
+@settings(deadline=None, max_examples=150)
+@given(prep_targets())
+def test_prep_move_bound_property(target):
+    """At most n - 1 reduction moves, and the linear schedule is 2m + 2 pulses."""
+    pairs, _ = reduce_to_uniform(target)
+    assert len(pairs) <= target.n - 1
+    schedule, plan = prepare_state_schedule(target, mode="linear")
+    assert plan.m == len(pairs)
+    assert len(schedule.steps) == 2 * plan.m + 2
 
 
 def test_prep_plan_validates_move_count():
