@@ -185,11 +185,9 @@ def load_state(path) -> np.ndarray:
 def save_schedule(path, schedule: PulseSchedule, source: str = "", seed: int | None = None) -> None:
     """Write the bytes :func:`save_json` writes for :func:`schedule_to_obj`,
     encoding one step at a time: a dense K is n^2 numbers per pulse, and the
-    whole document as Python objects is O(n^3).  Every field but the steps
-    is formed before the file is opened."""
-    fields = _schedule_fields(schedule, source, seed)
+    whole document as Python objects is O(n^3)."""
     with open(path, "w") as f:
-        for i, (key, value) in enumerate(fields.items()):
+        for i, (key, value) in enumerate(_schedule_fields(schedule, source, seed).items()):
             f.write(("," if i else "{") + _dumps(key) + ":")
             if key == "steps":
                 f.write("[")

