@@ -86,7 +86,7 @@ def kak_decompose(u) -> KAKDecomposition:
     o2 = um.T @ (o1 * np.exp(1j * d))
     imag = max_abs(o2.imag)
     if imag > ORTHOGONALITY_TOL:
-        raise OrthogonalityViolation(f"O2 has imaginary part {imag:.3e}; clusters mishandled?")
+        raise OrthogonalityViolation(f"O2 has imaginary part {imag:.3e}; degenerate eigenspace mishandled?")
     o2 = _check_orthogonal(np.ascontiguousarray(o2.real), "O2")
     kak = KAKDecomposition(o1=o1, d=d, o2=o2)
     residual = max_abs(kak.reconstruct() - um)

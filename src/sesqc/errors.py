@@ -39,8 +39,8 @@ class CommutatorViolation(SesqcError):
 class OrthogonalityViolation(SesqcError):
     """An expected real orthogonal factor came out non-orthogonal or complex.
 
-    In practice this signals mishandled degenerate eigenvalue clusters
-    upstream, not bad user input.
+    In practice this signals a mishandled degenerate eigenspace upstream,
+    not bad user input.
     """
 
 

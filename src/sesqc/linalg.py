@@ -5,9 +5,9 @@ All routines work on plain ``numpy`` arrays.  Matrix-valued preconditions
 which either return a cleaned-up copy or raise a domain error.  Only this
 module decides how close a matrix must be to Hermitian, symmetric or
 diagonal, always relative to the input's own scale, so c*A fares as A does:
-max|A|, or in :func:`simultaneous_diag` one joint scale s for its cluster
-widths, commutator and residual, the larger max row sum of |P|, |Q|.
-Unitaries are unit-scale, so :func:`require_unitary` bounds absolutely.
+max|A|, or in :func:`simultaneous_diag` one joint scale s for its
+commutator and residual, the larger max row sum of |P|, |Q|.  Unitaries
+are unit-scale, so :func:`require_unitary` bounds absolutely.
 A real matrix equal to its transpose bit for bit, as every K sesqc builds
 is, is its own symmetrised mean, so :func:`require_real_symmetric` copies it
 without measuring it.
@@ -16,10 +16,11 @@ Eigendecompositions run on the round-robin Jacobi kernel in
 :mod:`sesqc._kernels` and are post-processed to a deterministic form:
 eigenvalues ascending, and each eigenvector column scaled so its
 largest-magnitude entry is real and positive, and checked to rebuild A to
-``SPECTRAL_RESIDUAL_TOL`` max|A|.  Pulse exponentials
-(:func:`expm_generator`) use no eigensolver: they are formed from matrix
-products alone, so a schedule's net unitary is computed independently of
-the eigendecompositions that produced its generators.
+``SPECTRAL_RESIDUAL_TOL`` max|A|.  A spectral form or a joint basis is one
+such eigensolve, of the first of a few candidates that passes.  Pulse
+exponentials (:func:`expm_generator`) use no eigensolver: they are formed
+from matrix products alone, so a schedule's net unitary is computed
+independently of the eigendecompositions that produced its generators.
 """
 from __future__ import annotations
 
@@ -40,9 +41,9 @@ UNITARY_TOL = 1e-8
 HERMITIAN_TOL = 1e-8
 SYMMETRY_TOL = 1e-10
 SPECTRAL_RESIDUAL_TOL = 1e-9
-CLUSTER_RTOL = 1e-8
-NEAR_RTOL = 1e-4
 DIAG_RESIDUAL_TOL = 1e-8
+CAYLEY_BOUND = 1e3
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio mod 1
 _HALF_MAX = np.finfo(np.float64).max / 2
 
 
@@ -65,12 +66,14 @@ def _mean_with_mirror(m: np.ndarray, mirror: np.ndarray, tol: float, name: str, 
 
     Above half the float range an entry and its mirror can sum (or differ)
     beyond it, so there the mean of their halves is doubled, and an entry
-    equal to its mirror stays as it is.
+    equal to its mirror bit for bit stays as it is (a 0.0 mirroring -0.0
+    takes the mean, +0.0, as it does below).
     """
     peak = max_abs(m)
     if peak > _HALF_MAX:
         mean = 2.0 * _mean_with_mirror(m / 2.0, mirror / 2.0, tol, name, kind)
-        return np.ascontiguousarray(np.where(m == mirror, m, mean))
+        a, b = (np.ascontiguousarray(x).view(np.int64).reshape(*x.shape, -1) for x in (m, mirror))
+        return np.ascontiguousarray(np.where((a == b).all(axis=-1), m, mean))
     asym = max_abs(m - mirror)
     if asym > tol * peak:
         raise NotHermitian(f"{name} is not {kind} within {tol:g} max|A|")
@@ -162,33 +165,19 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     return _verified_eig(h2, *_kernels.jacobi_herm(h2))
 
 
-def _runs(vals: np.ndarray, tol: float) -> list[tuple[int, int]]:
-    """``(lo, hi)`` of each maximal run of 2+ ascending values with gaps <= tol."""
-    cuts = [0, *(np.flatnonzero(np.diff(vals) > tol) + 1), len(vals)]
-    return [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 1]
-
-
-def _diagonalise_in(block: np.ndarray, m: np.ndarray, eig) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate orthonormal columns ``block`` to diagonalise ``m`` on their span."""
-    restricted = block.conj().T @ m @ block
-    rot, vals = eig((restricted + restricted.conj().T) / 2.0)
-    return block @ rot, vals
-
-
 def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Jointly diagonalise two commuting Hermitian matrices.
 
-    Returns ``(basis, p_vals, q_vals)``.  The basis diagonalises ``p`` with
-    eigenvalues ascending; inside each cluster of ``p`` eigenvalues at most
-    1e-8 s apart (1e-4 s on the retry) it is rotated to diagonalise ``q``.
-    When both inputs are real symmetric the basis comes back real orthogonal.
+    Returns ``(basis, p_vals, q_vals)``, ``p_vals`` ascending.  The basis
+    eigensolves P + cQ for the first c = frac(k * golden ratio), k = 1, 2,
+    ..., that leaves both diagonal; distinct joint eigenvalues collide for
+    at most one c per pair, so one of the first n(n-1)/2 + 1 works.  For
+    real symmetric input the basis comes back real orthogonal.
 
     Raises :class:`CommutatorViolation` when max|PQ - QP| exceeds 1e-8 s^2,
-    or the basis leaves off-diagonal residue above 1e-8 s.  Every tolerance
-    uses the one joint scale s, the larger max row sum of |P| and |Q|.  That
-    norm bounds the spectral one, which is 1 for the Hermitian parts of a
-    unitary, though their entries can be as small as 1/sqrt(n), and one part
-    can vanish altogether.
+    or no c leaves off-diagonal residue within 1e-8 s, with s the larger
+    max row sum of |P| and |Q|: it bounds the spectral norm, though the
+    entries can be far smaller, and one input can vanish altogether.
     """
     pw = require_hermitian(p, name="P")
     qw = require_hermitian(q, name="Q")
@@ -210,27 +199,15 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eig = hermitian_eig
     if max_abs(pw.imag) == 0.0 and max_abs(qw.imag) == 0.0:
         pw, qw, eig = np.ascontiguousarray(pw.real), np.ascontiguousarray(qw.real), symmetric_eig
-    p_basis, p_sorted = eig(pw)
-
-    # P's degenerate runs are split by Q.  Jacobi mixes the vectors of two
-    # eigenvalues a gap g apart by up to ~1e-13 s / g, which can leave Q a
-    # cross term above the bound for g up to ~1e-5 s; then the runs up to
-    # NEAR_RTOL s wide are split by Q instead, and Q's clusters in them by P.
-    # Widths are in s because P can be ~0 (U = i*reflection): its rounding
-    # noise must then form one cluster for Q to split.
-    for near in (CLUSTER_RTOL, NEAR_RTOL):
-        basis = p_basis.copy(order="K")  # same layout, so the products round the same
-        for lo, hi in _runs(p_sorted, near * scale):
-            block, q_sorted = _diagonalise_in(basis[:, lo:hi], qw, eig)
-            if near == NEAR_RTOL:
-                for a, b in _runs(q_sorted, CLUSTER_RTOL * scale):
-                    block[:, a:b] = _diagonalise_in(block[:, a:b], pw, eig)[0]
-            basis[:, lo:hi] = block
-        basis = _fix_column_signs(basis)
+    n = pw.shape[0]
+    for k in range(1, n * (n - 1) // 2 + 2):
+        basis = eig(pw + (k * _GOLDEN % 1.0) * qw)[0]
         p_full, q_full = (basis.conj().T @ m @ basis for m in (pw, qw))
         off = max(max_abs(m - np.diag(np.diagonal(m))) for m in (p_full, q_full))
         if off <= DIAG_RESIDUAL_TOL * scale:
-            return basis, np.diagonal(p_full).real / unit, np.diagonal(q_full).real / unit
+            p_vals, q_vals = np.diagonal(p_full).real, np.diagonal(q_full).real
+            order = np.argsort(p_vals, kind="stable")
+            return basis[:, order], p_vals[order] / unit, q_vals[order] / unit
     raise CommutatorViolation(
         f"joint diagonalisation left off-diagonal residue {off / scale:.3e} s; "
         "inputs commute only approximately"
@@ -241,17 +218,27 @@ def unitary_diagonalize(u) -> tuple[np.ndarray, np.ndarray]:
     """Spectral form of a unitary: ``U == V @ diag(exp(-1j*lam)) @ V.conj().T``.
 
     Returns ``(V, lam)`` with phase angles ``lam`` on the branch (-pi, pi].
-    Works through the commuting Hermitian pair (U+U†)/2 and (U-U†)/2i, so
-    repeated eigenphases are handled by the cluster logic in
-    :func:`simultaneous_diag`, and each phase is read from its pair of
-    eigenvalues.  For an exactly symmetric U both parts are real, and V
-    comes back real orthogonal.
+    V eigensolves the Hermitian ``H = i(I - W)(I + W)^-1``, W = e^{i phi} U,
+    whose eigenvalues tan(b/2), for the eigenphases b of W, keep distinct
+    phases apart.  phi = 2 pi frac(k * golden ratio) for the first k = 0..n
+    with max|H| <= ``CAYLEY_BOUND``; a phase blocks at most one k (for
+    n < 987), so one passes.  Phases are read from diag(V† U V), which puts
+    an eigenvalue within an ulp of -1 on +pi.  For U equal to U.T, H is
+    real symmetric and V real orthogonal.
     """
     um = require_unitary(u, name="U")
-    h1 = (um + um.conj().T) / 2.0
-    h2 = (um - um.conj().T) / 2.0j
-    v, cos_vals, sin_vals = simultaneous_diag(h1, h2)
-    lam = -np.angle(cos_vals + 1j * sin_vals)
+    eye = np.eye(um.shape[0])
+    for k in range(um.shape[0] + 1):
+        w = np.exp(2j * np.pi * (k * _GOLDEN % 1.0)) * um
+        try:
+            x = np.linalg.solve(eye + w, eye - w)  # H = i x, as (I + W)^-1 commutes with I - W
+        except np.linalg.LinAlgError:  # W has eigenvalue -1 exactly
+            continue
+        if max_abs(x) <= CAYLEY_BOUND:
+            break
+    h = 1j * (x - x.conj().T) / 2.0  # (H + H†)/2, not validated: the residual checks V
+    v = (symmetric_eig(h.real) if np.array_equal(um, um.T) else hermitian_eig(h))[0]
+    lam = -np.angle(np.einsum("ij,ij->j", v.conj(), um @ v))
     lam[lam == -np.pi] = np.pi
     residual = max_abs((v * np.exp(-1j * lam)) @ v.conj().T - um)
     if not residual <= DIAG_RESIDUAL_TOL:

@@ -16,6 +16,7 @@ from sesqc.errors import (
 )
 from sesqc.linalg import (
     SYMMETRY_TOL,
+    _GOLDEN,
     _fix_column_signs,
     _mean_with_mirror,
     expm_generator,
@@ -128,12 +129,14 @@ def mirrored(draw):
 @given(mirrored(), st.booleans())
 @example(np.array([[1.0, 0.0], [-0.0, 2.0]]), False)
 @example(np.array([[-0.0, -0.0], [-0.0, 1.5e308]]), True)
+@example(np.array([[1.5e308, 0.0], [-0.0, 1.0]]), False)
 def test_require_real_symmetric_returns_the_mean_of_mirrored_input(a, complex_):
     """Bit-symmetric input skips the averaging, so it must give the averaged bytes."""
     want = _mean_with_mirror(a, a.T, SYMMETRY_TOL, "K", "symmetric")
     got = require_real_symmetric(a.astype(np.complex128) if complex_ else a)
     assert got.dtype == np.float64 and got.flags.c_contiguous
     assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == np.ascontiguousarray(got.T).tobytes()
     assert not np.shares_memory(got, a)
 
 
@@ -421,8 +424,50 @@ def test_simultaneous_diag_near_degenerate_p_split_by_q(n, gap):
     assert max_abs((basis * q_out) @ basis.conj().T - q) <= 1e-8 * max_abs(q)
 
 
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 12), st.integers(1, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_simultaneous_diag_skips_degenerate_candidates(n, blocked, complex_, seed):
+    """Joint eigenvalue pairs (a, b) and (a - c_k d, b + d) collide in
+    P + c_k Q for each of the first candidates c_k, though they differ."""
+    rng = np.random.default_rng(seed)
+    blocked = min(blocked, n // 2)
+    p_vals, q_vals = rng.uniform(-1.0, 1.0, size=(2, n))
+    for k in range(1, blocked + 1):
+        c, d = k * _GOLDEN % 1.0, rng.uniform(0.1, 1.0)
+        p_vals[2 * k - 1] = p_vals[2 * k - 2] - c * d
+        q_vals[2 * k - 1] = q_vals[2 * k - 2] + d
+    v = random_unitary(n, rng) if complex_ else np.linalg.qr(rng.normal(size=(n, n)))[0]
+    p, q = ((v * vals) @ v.conj().T for vals in (p_vals, q_vals))
+    p, q = (p + p.conj().T) / 2, (q + q.conj().T) / 2
+    basis, p_out, q_out = simultaneous_diag(p, q)
+    assert max_abs((basis * p_out) @ basis.conj().T - p) <= 1e-9 * max_abs(p)
+    assert max_abs((basis * q_out) @ basis.conj().T - q) <= 1e-9 * max_abs(q)
+    assert np.all(np.diff(p_out) >= 0.0)
+
+
 # ---------------------------------------------------------------------------
 # unitary diagonalization
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(2, 16), st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_unitary_diagonalize_survives_phases_on_cayley_poles(n, data, symmetric, seed):
+    """Eigenphases on the poles (W = e^{i phi_j} U has eigenvalue -1) of the
+    first k Cayley turns, and one within 1e-5 of turn k's, push the search
+    past each of them; one of the n + 1 turns still gives the spectral form."""
+    rng = np.random.default_rng(seed)
+    k = data.draw(st.integers(0, n), label="poles")
+    poles = 2 * np.pi * (np.arange(k + 1) * _GOLDEN % 1.0) + np.pi
+    poles[k] += data.draw(st.floats(-1e-5, 1e-5), label="offset")
+    lam = np.concatenate([poles, rng.uniform(-np.pi, np.pi, size=n)])[:n]
+    v = np.linalg.qr(rng.normal(size=(n, n)))[0] if symmetric else random_unitary(n, rng)
+    u = (v * np.exp(-1j * lam)) @ v.conj().T
+    if symmetric:
+        u = (u + u.T) / 2
+    v2, lam2 = unitary_diagonalize(u)
+    assert max_abs((v2 * np.exp(-1j * lam2)) @ v2.conj().T - u) <= 1e-8
+    assert np.all(lam2 > -np.pi) and np.all(lam2 <= np.pi)
+    assert np.isrealobj(v2) == symmetric
 
 
 @pytest.mark.parametrize("n", [2, 4, 8, 12])
