@@ -76,14 +76,18 @@ def kak_decompose(u) -> KAKDecomposition:
     Works through :func:`~sesqc.linalg.unitary_diagonalize` of ``chi = U @
     U.T``, symmetrised exactly: a symmetric unitary has a real orthogonal
     eigenbasis O1, and its phases on (-pi, pi], halved, give D on the branch
-    (-pi/2, pi/2].  O2 follows as ``U.T @ O1 @ exp(1j*D)``.
+    (-pi/2, pi/2].  O2 follows as ``U.T @ O1 @ exp(1j*D)``.  chi and O2 use
+    one Newton-Schulz polar step ``U (3I - U†U) / 2`` in place of U, which
+    squares the unitarity defect that chi would otherwise double; the
+    result is checked against U itself.
     """
     um = require_unitary(u, name="U")
-    chi = um @ um.T
+    up = um @ (3.0 * np.eye(um.shape[0]) - um.conj().T @ um) / 2.0
+    chi = up @ up.T
     v, lam = unitary_diagonalize((chi + chi.T) / 2.0)
     o1 = _check_orthogonal(np.ascontiguousarray(v), "O1")
     d = lam / 2.0
-    o2 = um.T @ (o1 * np.exp(1j * d))
+    o2 = up.T @ (o1 * np.exp(1j * d))
     imag = max_abs(o2.imag)
     if imag > ORTHOGONALITY_TOL:
         raise OrthogonalityViolation(f"O2 has imaginary part {imag:.3e}; degenerate eigenspace mishandled?")

@@ -40,6 +40,15 @@ def random_orthogonal(n, rng):
     return o * np.sign(np.diagonal(r))
 
 
+def near_unitary(n, seed, defect):
+    """Haar U plus Gaussian noise scaled to max|U†U - I| ~ ``defect``."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(n, rng)
+    e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    probe = u + 1e-6 * e
+    return u + 1e-6 * e * (defect / max_abs(probe.conj().T @ probe - np.eye(n)))
+
+
 def assert_valid_kak(u, kak, atol=1e-8):
     n = u.shape[0]
     np.testing.assert_allclose(kak.o1.T @ kak.o1, np.eye(n), atol=atol)
@@ -102,6 +111,15 @@ def test_kak_repeated_half_angles():
     kak = kak_decompose(u)
     assert_valid_kak(u, kak, atol=1e-9)
     np.testing.assert_allclose(np.sort(kak.d), np.sort(d), atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("n", [3, 4, 8, 16])
+def test_kak_accepts_near_unitary_input(n, seed):
+    """U U^T has about twice U's unitarity defect, so forming it from U
+    itself refused most U at a 9e-9 defect that require_unitary accepts."""
+    u = near_unitary(n, seed, 9e-9)
+    assert_valid_kak(u, kak_decompose(u))
 
 
 def test_kak_rejects_nonunitary():
@@ -265,11 +283,7 @@ def test_compile_unitary_accepts_near_unitary_input(n, seed):
     """A 9e-9 unitarity defect passes require_unitary.  The Hermitian parts
     of such a U do not commute (max|[h1, h2]| ~ defect / 2), so a spectral
     form built by diagonalising them jointly refused most of these."""
-    rng = np.random.default_rng(seed)
-    u = random_unitary(n, rng)
-    e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    probe = u + 1e-6 * e
-    u = u + 1e-6 * e * (9e-9 / max_abs(probe.conj().T @ probe - np.eye(n)))
+    u = near_unitary(n, seed, 9e-9)
     schedule = compile_unitary(u)
     assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
 

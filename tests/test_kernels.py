@@ -67,11 +67,13 @@ def test_diagonal_input_is_fixed_point():
 def test_convergence_error_when_sweeps_exhausted(monkeypatch):
     rng = np.random.default_rng(5)
     s = random_symmetric(12, rng)
-    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
-    with pytest.raises(ConvergenceError):
-        _kernels.jacobi_real(s)
-    with pytest.raises(ConvergenceError):
-        _kernels.jacobi_herm(random_hermitian(12, rng))
+    h = random_hermitian(12, rng)
+    for sweeps in (0, 1):
+        monkeypatch.setattr(_kernels, "MAX_SWEEPS", sweeps)
+        with pytest.raises(ConvergenceError):
+            _kernels.jacobi_real(s)
+        with pytest.raises(ConvergenceError):
+            _kernels.jacobi_herm(h)
 
 
 KERNELS = [(_kernels.jacobi_real, random_symmetric), (_kernels.jacobi_herm, random_hermitian)]
@@ -93,7 +95,9 @@ def test_odd_n_leaves_one_index_idle_per_round(n, kernel, make):
 
 
 @pytest.mark.parametrize("kernel", [_kernels.jacobi_real, _kernels.jacobi_herm])
-def test_diagonal_input_returns_identity_exactly(kernel):
+def test_diagonal_input_returns_identity_exactly(monkeypatch, kernel):
+    """A diagonal input needs no sweep, so it must not run out of them."""
+    monkeypatch.setattr(_kernels, "MAX_SWEEPS", 0)
     d = np.diag([2.0, -7.5, 0.0, 1e-3, 4.0])
     w, v = kernel(d)
     assert np.array_equal(w, np.diagonal(d))
@@ -213,3 +217,37 @@ def test_rounds_pair_every_index_pair_once_per_sweep(n):
     assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
     for pq in rounds:
         assert pq.shape == (2, n // 2) and len(set(pq.ravel().tolist())) == pq.size
+
+
+@pytest.mark.parametrize("n", [5, 6])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_single_pair_is_rotated_away_at_every_round(n, dtype):
+    """A lone off-diagonal pair leaves every other round of the cycle quiet,
+    whichever round holds it: that round must still rotate it to the stop."""
+    kernel = _kernels.jacobi_herm if dtype is np.complex128 else _kernels.jacobi_real
+    entry = 0.3 if dtype is np.float64 else 0.3 * np.exp(0.7j)
+    for p, q in np.hstack(_kernels._rounds(n)).T.tolist():
+        a = np.diag(np.arange(1.0, n + 1.0)).astype(dtype)
+        a[p, q], a[q, p] = entry, np.conj(entry)
+        w, v = kernel(a)
+        assert_eigenpairs(a, w, v, 1e-13 * n)
+        off = v.conj().T @ a @ v
+        assert max_abs(off - np.diag(np.diagonal(off))) <= 1e-13 * n * max_abs(a)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_off_diagonals_below_the_stop_are_left_alone(dtype):
+    """Off-diagonals at half of 1e-13 max|A| skip every round: V is exactly I
+    and w is diag(A) bit for bit."""
+    rng = np.random.default_rng(19)
+    n = 7
+    a = np.diag(rng.normal(size=n) * 3.0).astype(dtype)
+    off = 0.5e-13 * max_abs(a) * np.sign(rng.normal(size=(n, n)))
+    if dtype is np.complex128:
+        off = off * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=(n, n)))
+    off = np.triu(off, 1)
+    a = a + off + off.conj().T
+    kernel = _kernels.jacobi_herm if dtype is np.complex128 else _kernels.jacobi_real
+    w, v = kernel(a)
+    assert np.array_equal(v, np.eye(n)) and v.dtype == dtype
+    assert w.tobytes() == np.diagonal(a).real.tobytes()
