@@ -29,7 +29,10 @@ from .pulses import (
     DeviceParams,
     PulseSchedule,
     PulseStep,
+    _centred_phases,
     compile_symmetric_generator,
+    optimal_shift,
+    rotation_angle,
 )
 
 ORTHOGONALITY_TOL = 1e-8
@@ -146,11 +149,19 @@ def aba_decompose(u) -> ABADecomposition:
     return aba
 
 
-def _symmetric_log_generator(um: np.ndarray) -> np.ndarray:
-    """Real symmetric G with ``exp(-1j*G) = U`` for symmetric unitary U."""
-    v, lam = unitary_diagonalize((um + um.T) / 2.0)  # real V, as the input is symmetric
-    g = (v * lam) @ v.T
-    return (g + g.T) / 2.0
+def _one_pulse_generator(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Real symmetric G with ``exp(-1j*G) = V e^{-i lam} V†`` up to a global
+    phase, for V whose generator ``V lam V†`` is real.
+
+    G is built from the principal phases ``lam`` and again from ``lam``
+    centred on its shortest arc (:func:`~sesqc.pulses._centred_phases`),
+    and the one with the smaller pulse angle is kept, ``lam`` on a tie.
+    """
+    generators = []
+    for phases in (lam, _centred_phases(lam)):
+        g = ((v * phases) @ v.conj().T).real
+        generators.append((g + g.T) / 2.0)
+    return min(generators, key=lambda g: rotation_angle(g, optimal_shift(g)))  # the first on a tie
 
 
 def _aba_steps(a: np.ndarray, b: np.ndarray, device: DeviceParams) -> list[PulseStep]:
@@ -182,14 +193,16 @@ def compile_unitary(u, device: DeviceParams | None = None) -> PulseSchedule:
     """Compile an arbitrary unitary into at most three standard-form pulses.
 
     Symmetric unitaries (max|U - U.T| <= 1e-10) take a one-step shortcut
-    through their real symmetric logarithm; everything else goes through
-    :func:`aba_decompose` and emits three steps.  The compiled schedule is
-    verified against ``u`` to global-phase fidelity 1 - 1e-8.
+    through a real symmetric logarithm (:func:`_one_pulse_generator`);
+    everything else goes through :func:`aba_decompose` and emits three
+    steps.  The compiled schedule is verified against ``u`` to global-phase
+    fidelity 1 - 1e-8.
     """
     device = device or DeviceParams()
     um = require_unitary(u, name="U")
     if max_abs(um - um.T) <= SYMMETRIC_SHORTCUT_TOL:
-        steps = [compile_symmetric_generator(_symmetric_log_generator(um), device, label="symmetric")]
+        v, lam = unitary_diagonalize((um + um.T) / 2.0)  # real V, as the input is symmetric
+        steps = [compile_symmetric_generator(_one_pulse_generator(v, lam), device, label="symmetric")]
     else:
         steps = _aba_steps(*_aba_generators(um), device)
     return _verified_schedule(steps, um, device)
@@ -201,7 +214,8 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     The phases ``t`` times the spectrum of H are wrapped onto [-pi, pi],
     so the pulse angles stay bounded however large ``t`` is, and no matrix
     logarithm is needed.  Real symmetric Hamiltonians compile to a single
-    pulse with the real generator ``V diag(phases) V†``; complex Hermitian
+    pulse with the real generator ``V diag(phases) V†``, on the shorter of
+    two phase branches (:func:`_one_pulse_generator`); complex Hermitian
     ones reuse the KAK route with those phases as the diagonal, or emit
     three zero-angle pulses when the phases are all equal (a global phase).
     H counts as real when max|Im H| <= 1e-10 max|H|; that bound, and the
@@ -221,8 +235,7 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
     target = (v * np.exp(-1j * lam)) @ v.conj().T
     if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL * max_abs(hm):
-        g = ((v * lam) @ v.conj().T).real
-        steps = [compile_symmetric_generator((g + g.T) / 2.0, device, label="hamiltonian")]
+        steps = [compile_symmetric_generator(_one_pulse_generator(v, lam), device, label="hamiltonian")]
     elif max_abs(np.angle(np.exp(-1j * (lam - lam[0])))) <= ZERO_ANGLE_TOL:
         # A global phase: the KAK factors of the eigenbasis would still
         # give A a nonzero angle.

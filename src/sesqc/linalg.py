@@ -12,9 +12,19 @@ A real matrix equal to its transpose bit for bit, as every K sesqc builds
 is, is its own symmetrised mean, so :func:`require_real_symmetric` copies it
 without measuring it.
 
-Eigendecompositions run on the round-robin Jacobi kernel in
-:mod:`sesqc._kernels` and are post-processed to a deterministic form:
-eigenvalues ascending, and each eigenvector column scaled so its
+Eigendecompositions run on one round-robin Jacobi kernel, :func:`_jacobi`,
+for real symmetric (float64) and Hermitian (complex128) input.  A sweep is
+the circle-method tournament over the indices (Brent & Luk, SIAM J. Sci.
+Stat. Comput. 6, 1985; Golub & Van Loan, *Matrix Computations* §8.5): each
+round pairs the indices off, leaving one idle when n is odd, and applies
+its floor(n/2) disjoint rotations at once as one n×n rotation J,
+``A <- J† A J`` and ``V <- V J``.  The stop is the threshold rule: a round
+whose every |a[p, q]| is within 1e-13 max|A| is skipped, with no J and no
+product, and the kernel returns once a whole sweep's worth of consecutive
+rounds has been skipped.  Those rounds pair every index pair once and
+change nothing, so every off-diagonal entry is then within the tolerance.
+:func:`_verified_eig` puts the kernel's unsorted output in a deterministic
+form: eigenvalues ascending, and each eigenvector column scaled so its
 largest-magnitude entry is real and positive, and checked to rebuild A to
 ``SPECTRAL_RESIDUAL_TOL`` max|A|.  A spectral form or a joint basis is one
 such eigensolve, of the first of a few candidates that passes.  Pulse
@@ -24,13 +34,15 @@ independently of the eigendecompositions that produced its generators.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 
 import numpy as np
 
-from . import _kernels
 from .errors import (
     CommutatorViolation,
+    ConvergenceError,
     DecompositionError,
     DimensionMismatch,
     NotHermitian,
@@ -43,6 +55,8 @@ SYMMETRY_TOL = 1e-10
 SPECTRAL_RESIDUAL_TOL = 1e-9
 DIAG_RESIDUAL_TOL = 1e-8
 CAYLEY_BOUND = 1e3
+MAX_SWEEPS = 100
+TINY = np.finfo(np.float64).tiny
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0  # the golden ratio mod 1
 _HALF_MAX = np.finfo(np.float64).max / 2
 
@@ -54,8 +68,8 @@ def max_abs(a: np.ndarray) -> float:
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a)
-    if out.ndim != 2 or out.shape[0] != out.shape[1]:
-        raise DimensionMismatch(f"{name} must be square, got shape {out.shape}")
+    if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
+        raise DimensionMismatch(f"{name} must be square and non-empty, got shape {out.shape}")
     if not np.all(np.isfinite(out)):
         raise ValueError(f"{name} contains non-finite entries")
     return out
@@ -114,6 +128,99 @@ def require_unitary(a, name: str = "matrix") -> np.ndarray:
     return np.array(m, dtype=np.complex128, order="C")
 
 
+@functools.cache
+def _rounds(n: int) -> tuple[np.ndarray, ...]:
+    """Read-only ``[p, q]`` index rows, ``p < q``, of each round of the circle method."""
+    m = n + n % 2  # an odd n gets a dummy index n; its partner idles
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [sorted(pq) for pq in zip(ring[: m // 2], ring[::-1]) if max(pq) < n]
+        pq = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        pq.setflags(write=False)
+        rounds.append(pq)
+        ring = ring[:1] + ring[-1:] + ring[1:-1]
+    return tuple(rounds)
+
+
+def unit_scale(peak: float) -> float:
+    """The power of two that scales ``peak`` into [0.5, 1), or an all-subnormal
+    peak to at least 2^-52.  Scaling by it is exact for every entry it keeps
+    in the normal range."""
+    return math.ldexp(1.0, -max(math.frexp(peak)[1], -1022))
+
+
+@functools.cache
+def _flat_rounds(n: int) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Per round of :func:`_rounds`, flat indices into an n×n array: rows
+    ``[pq, pp, qq]`` to read, and ``pp, qq, pq, qp`` concatenated to write J."""
+    tables = []
+    for p, q in _rounds(n):
+        if p.size:  # n = 1 has one round with no pair
+            pq, qp, pp, qq = p * n + q, q * n + p, p * (n + 1), q * (n + 1)
+            read, write = np.stack([pq, pp, qq]), np.concatenate([pp, qq, pq, qp])
+            read.setflags(write=False)
+            write.setflags(write=False)
+            tables.append((read, write))
+    return tuple(tables)
+
+
+@functools.cache
+def _identity(n: int, dtype: np.dtype) -> np.ndarray:
+    """Read-only n×n identity, copied for V and for each J."""
+    eye = np.eye(n, dtype=dtype)
+    eye.setflags(write=False)
+    return eye
+
+
+def _jacobi(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unsorted eigenvalues ``w`` and the accumulated rotation ``v`` (columns
+    are eigenvectors) of a real symmetric or Hermitian ``a``, swept on one
+    float64 or complex128 copy.  Raises :class:`ConvergenceError` if a round
+    still needs a rotation after ``MAX_SWEEPS`` sweeps, which cannot happen
+    for finite input and therefore flags a defect.
+    """
+    a = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64)
+    n = a.shape[0]
+    eye = _identity(n, a.dtype)
+    v = eye.copy()
+    # Scaling by a power of two is exact: max|A| in [0.5, 1) makes the
+    # rotations and the stop the same at any scale.
+    peak = max_abs(a)
+    unit = unit_scale(peak)
+    a *= unit
+    tol = 1e-13 * (peak * unit)
+    rounds = _flat_rounds(n)
+    quiet = 0  # consecutive rounds skipped; a cycle of them has seen every pair
+    # |tau| = inf rounds t to 0, as t ~ 1/(2 tau) would; an eigenvalue beyond
+    # float range is inf, and _verified_eig refuses it.
+    with np.errstate(over="ignore"):
+        for visited, (read, write) in enumerate(itertools.cycle(rounds)):
+            if quiet == len(rounds):
+                break
+            apq, app, aqq = a.take(read)
+            mag = np.abs(apq)
+            if not mag.max() > tol:
+                quiet += 1
+                continue
+            if visited >= MAX_SWEEPS * len(rounds):
+                raise ConvergenceError(f"Jacobi failed to converge in {MAX_SWEEPS} sweeps (n={n})")
+            quiet = 0
+            # A zero or subnormal a[p, q] is below any tolerance and would
+            # overflow apq / mag: it gets t = 0, the identity rotation.
+            live = mag >= TINY
+            mag = np.where(live, mag, 1.0)
+            tau = (aqq.real - app.real) / (2.0 * mag)
+            t = np.where(live, np.copysign(1.0, tau) / (np.abs(tau) + np.hypot(1.0, tau)), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c * (apq / mag)  # carries the phase of a[p, q]
+            j = eye.copy()
+            j.put(write, np.concatenate([c, c, s, -s.conj()]))
+            a = j.conj().T @ a @ j
+            v = v @ j
+        return np.diagonal(a).real / unit, v
+
+
 def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     """Scale each column so its largest-magnitude entry is real positive."""
     if not v.size:
@@ -128,16 +235,18 @@ def _fix_column_signs(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _verified_eig(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted, sign-fixed ``(v, w)``; must rebuild ``a`` to ``SPECTRAL_RESIDUAL_TOL``
-    max|a|, or to n subnormal quanta where that bound would underflow.  The
-    rebuild runs in the kernel's power-of-two unit, so it cannot overflow."""
+def _verified_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted, sign-fixed ``(v, w)`` of :func:`_jacobi`; must rebuild ``a`` to
+    ``SPECTRAL_RESIDUAL_TOL`` max|a|, or to n subnormal quanta where that bound
+    would underflow.  The rebuild runs in the kernel's power-of-two unit, so
+    it cannot overflow."""
+    w, v = _jacobi(a)
     if not np.all(np.isfinite(w)):
         raise DecompositionError("an eigenvalue lies beyond the float range")
     order = np.argsort(w, kind="stable")
     v = _fix_column_signs(v[:, order])
     w = w[order]
-    unit = _kernels.unit_scale(max_abs(a))
+    unit = unit_scale(max_abs(a))
     residual = max_abs((v * (w * unit)) @ v.conj().T - a * unit)
     bound = max(SPECTRAL_RESIDUAL_TOL * max_abs(a), len(w) * np.finfo(float).smallest_subnormal) * unit
     if not residual <= bound:
@@ -151,8 +260,7 @@ def symmetric_eig(s) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(Q, lam)`` with eigenvalues ascending and deterministic
     column signs.
     """
-    s2 = require_real_symmetric(s, name="S")
-    return _verified_eig(s2, *_kernels.jacobi_real(s2))
+    return _verified_eig(require_real_symmetric(s, name="S"))
 
 
 def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
@@ -161,8 +269,7 @@ def hermitian_eig(h) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(V, w)`` with eigenvalues ascending and each column phased so
     its largest-magnitude entry is real positive.
     """
-    h2 = require_hermitian(h, name="H")
-    return _verified_eig(h2, *_kernels.jacobi_herm(h2))
+    return _verified_eig(require_hermitian(h, name="H"))
 
 
 def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -185,7 +292,7 @@ def simultaneous_diag(p, q) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"P is {pw.shape}, Q is {qw.shape}")
 
     # Scaled by a power of two (exact), so that s^2 and PQ - QP cannot overflow
-    unit = _kernels.unit_scale(max(max_abs(pw), max_abs(qw)))
+    unit = unit_scale(max(max_abs(pw), max_abs(qw)))
     pw, qw = pw * unit, qw * unit
     scale = max(float(np.abs(m).sum(axis=1).max(initial=0.0)) for m in (pw, qw))
     comm = max_abs(pw @ qw - qw @ pw)

@@ -160,22 +160,31 @@ def compile_symmetric_generator(a, device: DeviceParams | None = None, label: st
     return step
 
 
-def compile_diagonal_phases(phases, label: str = "") -> PulseStep:
-    """Minimal pulse for ``diag(exp(-1j*phases))`` up to a global phase.
-
-    The phases, taken mod 2*pi, lie on the shortest arc of the circle that
-    holds them (2*pi minus the largest gap between neighbours).  Shifting
-    them to the arc's centre and saturating K gives ``theta`` = half that
-    arc, at most ``pi * (1 - 1/n)``.  Phases within ``ZERO_ANGLE_TOL`` of
-    each other compile to a zero-duration step.
+def _centred_phases(phases) -> np.ndarray:
+    """``phases`` shifted to the centre of the shortest arc of the circle that
+    holds them (2*pi minus the largest gap between neighbours, taken mod
+    2*pi) and wrapped into (-pi, pi]: ``diag(exp(-1j*phases))`` up to a
+    global phase, with max|phase| half that arc, at most ``pi * (1 - 1/n)``.
     """
     p = np.mod(np.asarray(phases, dtype=np.float64), TWO_PI)
-    n = p.size
+    if not p.size:
+        raise ValueError("phases must not be empty")
     ordered = np.sort(p)
     gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
     widest = int(np.argmax(gaps))
-    centre = ordered[(widest + 1) % n] + (TWO_PI - gaps[widest]) / 2.0
-    shifted = np.pi - np.mod(np.pi - (p - centre), TWO_PI)  # wrapped into (-pi, pi]
+    centre = ordered[(widest + 1) % p.size] + (TWO_PI - gaps[widest]) / 2.0
+    return np.pi - np.mod(np.pi - (p - centre), TWO_PI)
+
+
+def compile_diagonal_phases(phases, label: str = "") -> PulseStep:
+    """Minimal pulse for ``diag(exp(-1j*phases))`` up to a global phase.
+
+    The phases are centred on their shortest arc (:func:`_centred_phases`)
+    and K saturated, so ``theta`` is half that arc.  Phases within
+    ``ZERO_ANGLE_TOL`` of each other compile to a zero-duration step.
+    """
+    shifted = _centred_phases(phases)
+    n = shifted.size
     theta = float(np.max(np.abs(shifted)))
     if theta <= ZERO_ANGLE_TOL:
         return PulseStep(k=np.zeros((n, n)), theta=0.0, label=label)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import golden
-import sesqc._kernels
+import sesqc.linalg
 from sesqc.decompose import (
     SYMMETRIC_SHORTCUT_TOL,
     aba_decompose,
@@ -22,8 +22,16 @@ from sesqc.linalg import (
     hermitian_eig,
     max_abs,
     random_unitary,
+    unitary_diagonalize,
 )
-from sesqc.pulses import DeviceParams, PulseSchedule, PulseStep
+from sesqc.pulses import (
+    DeviceParams,
+    PulseSchedule,
+    PulseStep,
+    compile_diagonal_phases,
+    optimal_shift,
+    rotation_angle,
+)
 
 
 def expm_series(m, terms=60):
@@ -40,13 +48,18 @@ def random_orthogonal(n, rng):
     return o * np.sign(np.diagonal(r))
 
 
-def near_unitary(n, seed, defect):
-    """Haar U plus Gaussian noise scaled to max|U†U - I| ~ ``defect``."""
-    rng = np.random.default_rng(seed)
-    u = random_unitary(n, rng)
+def with_defect(u, rng, defect):
+    """``u`` plus Gaussian noise scaled to max|U†U - I| ~ ``defect``."""
+    n = u.shape[0]
     e = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
     probe = u + 1e-6 * e
     return u + 1e-6 * e * (defect / max_abs(probe.conj().T @ probe - np.eye(n)))
+
+
+def near_unitary(n, seed, defect):
+    """Haar U plus Gaussian noise scaled to max|U†U - I| ~ ``defect``."""
+    rng = np.random.default_rng(seed)
+    return with_defect(random_unitary(n, rng), rng, defect)
 
 
 def assert_valid_kak(u, kak, atol=1e-8):
@@ -254,16 +267,21 @@ STRUCTURED_KINDS = ("permutation", "fourier", "fourier_conj", "branch_cut", "min
 
 @settings(deadline=None, max_examples=100)
 @given(st.sampled_from(STRUCTURED_KINDS), st.sampled_from([2, 3, 4, 5, 8, 16]),
-       st.integers(0, 2**32 - 1), st.floats(-np.pi, np.pi))
-def test_compile_unitary_round_trips_structured_targets(kind, n, seed, phase):
+       st.integers(0, 2**32 - 1), st.floats(-np.pi, np.pi),
+       st.one_of(st.just(0.0), st.floats(1e-10, 9e-9)))
+def test_compile_unitary_round_trips_structured_targets(kind, n, seed, phase, defect):
     """Degenerate spectra, the +-pi branch cut and both sides of the
-    symmetric-shortcut threshold compile at full fidelity with bounded angles."""
-    u = np.exp(1j * phase) * structured_unitary(kind, n, np.random.default_rng(seed))
+    symmetric-shortcut threshold compile at full fidelity with bounded
+    angles, also with a unitarity defect up to 9e-9."""
+    rng = np.random.default_rng(seed)
+    u = np.exp(1j * phase) * structured_unitary(kind, n, rng)
+    if defect:
+        u = with_defect(u, rng, defect)
     schedule = compile_unitary(u)
     assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
     assert len(schedule.steps) == (1 if max_abs(u - u.T) <= SYMMETRIC_SHORTCUT_TOL else 3)
     assert all(step.theta <= np.pi + 1e-12 for step in schedule.steps)
-    if kind.startswith("asym"):
+    if kind.startswith("asym") and not defect:  # noise moves max|U - U.T| off its set value
         assert len(schedule.steps) == (1 if kind == "asym_below" else 3)
 
 
@@ -286,6 +304,51 @@ def test_compile_unitary_accepts_near_unitary_input(n, seed):
     u = near_unitary(n, seed, 9e-9)
     schedule = compile_unitary(u)
     assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
+
+
+def principal_branch_angle(v, lam):
+    """Pulse angle of the real generator V diag(lam) V† for the phases as given."""
+    g = ((v * lam) @ v.conj().T).real
+    g = (g + g.T) / 2.0
+    return rotation_angle(g, optimal_shift(g))
+
+
+def test_one_pulse_compiles_take_the_shorter_phase_branch():
+    """Phases -3 and 3 lie 2 pi - 6 apart across the branch cut: the
+    principal branch needs theta = 3, the shortest arc pi - 3."""
+    for schedule in (compile_unitary(np.diag(np.exp([3j, -3j]))),
+                     compile_hamiltonian(np.diag([-3.0, 3.0]), 1.0)):
+        assert len(schedule.steps) == 1
+        assert schedule.steps[0].theta == pytest.approx(np.pi - 3.0, abs=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.1, 10.0))
+def test_one_pulse_angle_is_at_most_the_principal_branch(n, seed, t):
+    """Symmetric unitaries and real Hamiltonians compile to one pulse no
+    longer than the principal-branch generator's, and diagonal ones to the
+    shortest-arc angle of :func:`compile_diagonal_phases`."""
+    rng = np.random.default_rng(seed)
+    o = random_orthogonal(n, rng)
+    u = (o * np.exp(-1j * rng.uniform(-np.pi, np.pi, size=n))) @ o.T
+    u = (u + u.T) / 2.0
+    schedule = compile_unitary(u)
+    assert len(schedule.steps) == 1
+    assert schedule.steps[0].theta <= principal_branch_angle(*unitary_diagonalize(u))
+
+    h = rng.normal(size=(n, n))
+    h = (h + h.T) / 2.0
+    v, w = hermitian_eig(h)
+    lam = t * w
+    lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
+    schedule = compile_hamiltonian(h, t)
+    assert len(schedule.steps) == 1
+    assert schedule.steps[0].theta <= principal_branch_angle(v, lam)
+
+    phases = rng.uniform(-np.pi, np.pi, size=n)
+    shortest = compile_diagonal_phases(phases).theta
+    assert compile_unitary(np.diag(np.exp(-1j * phases))).total_angle == pytest.approx(shortest, abs=1e-12)
+    assert compile_hamiltonian(np.diag(phases / t), t).total_angle == pytest.approx(shortest, abs=1e-12)
 
 
 def test_compile_unitary_identity_zero_angle():
@@ -373,13 +436,13 @@ def test_compile_hamiltonian_rejects_wrong_eigendecomposition(monkeypatch, compl
     rng = np.random.default_rng(803)
     h = rng.normal(size=(5, 5)) + (1j * rng.normal(size=(5, 5)) if complex_ else 0)
     h = (h + h.conj().T) / 2
-    jacobi_herm = sesqc._kernels.jacobi_herm
+    jacobi = sesqc.linalg._jacobi
 
     def off_by_1e_6(m):
-        w, v = jacobi_herm(m)
+        w, v = jacobi(m)
         return w * (1 + 1e-6), v
 
-    monkeypatch.setattr(sesqc._kernels, "jacobi_herm", off_by_1e_6)
+    monkeypatch.setattr(sesqc.linalg, "_jacobi", off_by_1e_6)
     with pytest.raises(DecompositionError, match="spectral residual"):
         compile_hamiltonian(1e-3 * h, t=1.0)
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-import sesqc._kernels
+import sesqc.linalg
 from sesqc.errors import (
     CommutatorViolation,
     DecompositionError,
@@ -31,8 +31,15 @@ from sesqc.linalg import (
     symmetric_eig,
     unitary_diagonalize,
 )
+from sesqc.decompose import compile_hamiltonian, compile_unitary
 from sesqc.observables import spectral_decompose
-from sesqc.pulses import PulseSchedule, PulseStep
+from sesqc.pulses import (
+    PulseSchedule,
+    PulseStep,
+    compile_diagonal_phases,
+    compile_symmetric_generator,
+    optimal_shift,
+)
 from sesqc.simulator import run_schedule
 from sesqc.stateprep import SESState
 
@@ -187,6 +194,27 @@ def test_nonsquare_raises_dimension_mismatch():
         require_real_symmetric(np.zeros((2, 3)))
 
 
+EMPTY = np.zeros((0, 0))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, error", [
+    pytest.param(lambda: compile_unitary(EMPTY), DimensionMismatch, id="compile_unitary"),
+    pytest.param(lambda: compile_hamiltonian(EMPTY, 1.0), DimensionMismatch, id="compile_hamiltonian"),
+    pytest.param(lambda: compile_symmetric_generator(EMPTY), DimensionMismatch,
+                 id="compile_symmetric_generator"),
+    pytest.param(lambda: optimal_shift(EMPTY), DimensionMismatch, id="optimal_shift"),
+    pytest.param(lambda: global_phase_fidelity(EMPTY, EMPTY), DimensionMismatch,
+                 id="global_phase_fidelity"),
+    pytest.param(lambda: compile_diagonal_phases([]), ValueError, id="compile_diagonal_phases"),
+])
+def test_zero_size_input_is_refused(call, error):
+    """A 0x0 matrix or an empty phase vector is refused with a typed error,
+    not numpy's reduction error, a nan or a RuntimeWarning."""
+    with pytest.raises(error):
+        call()
+
+
 def test_nonfinite_rejected():
     with pytest.raises(ValueError):
         require_hermitian(np.array([[np.nan, 0.0], [0.0, 1.0]]))
@@ -320,20 +348,20 @@ def test_eigensolves_refuse_eigenvalue_beyond_float_range(eig):
         eig(np.full((2, 2), 1.5e308))
 
 
-@pytest.mark.parametrize("kernel, eig", [("jacobi_real", symmetric_eig), ("jacobi_herm", hermitian_eig)])
-def test_eigensolves_reject_wrong_eigendecomposition(monkeypatch, kernel, eig):
+@pytest.mark.parametrize("eig", [symmetric_eig, hermitian_eig])
+def test_eigensolves_reject_wrong_eigendecomposition(monkeypatch, eig):
     """Eigenvalues off by 1e-6 relative fail the spectral residual check, though
     at max|A| ~ 1e-3 that residual is below an absolute 1e-8."""
     rng = np.random.default_rng(803)
     a = rng.normal(size=(5, 5))
     a = 1e-3 * (a + a.T) / 2
-    original = getattr(sesqc._kernels, kernel)
+    original = sesqc.linalg._jacobi
 
     def off_by_1e_6(m):
         w, v = original(m)
         return w * (1 + 1e-6), v
 
-    monkeypatch.setattr(sesqc._kernels, kernel, off_by_1e_6)
+    monkeypatch.setattr(sesqc.linalg, "_jacobi", off_by_1e_6)
     with pytest.raises(DecompositionError, match="spectral residual"):
         eig(a)
 

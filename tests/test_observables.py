@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-import sesqc._kernels
+import sesqc.linalg
 from sesqc.errors import DecompositionError, NotHermitian
 from sesqc.observables import (
     Observable,
@@ -50,13 +50,13 @@ def test_spectral_decompose_rejects_nonhermitian():
 def test_spectral_decompose_rejects_wrong_eigendecomposition(monkeypatch):
     """Eigenvalues off by 1e-6 relative at max|O| ~ 1e-3 fail the residual check."""
     o = 1e-3 * random_observable_matrix(5, np.random.default_rng(803))
-    jacobi_herm = sesqc._kernels.jacobi_herm
+    jacobi = sesqc.linalg._jacobi
 
     def off_by_1e_6(m):
-        w, v = jacobi_herm(m)
+        w, v = jacobi(m)
         return w * (1 + 1e-6), v
 
-    monkeypatch.setattr(sesqc._kernels, "jacobi_herm", off_by_1e_6)
+    monkeypatch.setattr(sesqc.linalg, "_jacobi", off_by_1e_6)
     with pytest.raises(DecompositionError, match="spectral residual"):
         spectral_decompose(o)
 
