@@ -166,9 +166,10 @@ def _centred_phases(phases) -> np.ndarray:
     2*pi) and wrapped into (-pi, pi]: ``diag(exp(-1j*phases))`` up to a
     global phase, with max|phase| half that arc, at most ``pi * (1 - 1/n)``.
     """
-    p = np.mod(np.asarray(phases, dtype=np.float64), TWO_PI)
-    if not p.size:
-        raise ValueError("phases must not be empty")
+    p = np.asarray(phases, dtype=np.float64)
+    if not p.size or not np.all(np.isfinite(p)):
+        raise ValueError("phases must be a non-empty vector of finite numbers")
+    p = np.mod(p, TWO_PI)
     ordered = np.sort(p)
     gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
     widest = int(np.argmax(gaps))

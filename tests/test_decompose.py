@@ -331,7 +331,7 @@ def test_one_pulse_angle_is_at_most_the_principal_branch(n, seed, t):
     rng = np.random.default_rng(seed)
     o = random_orthogonal(n, rng)
     u = (o * np.exp(-1j * rng.uniform(-np.pi, np.pi, size=n))) @ o.T
-    u = (u + u.T) / 2.0
+    u = (u + u.T) / 2.0  # symmetric bit for bit: the compiler eigensolves this same matrix
     schedule = compile_unitary(u)
     assert len(schedule.steps) == 1
     assert schedule.steps[0].theta <= principal_branch_angle(*unitary_diagonalize(u))

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import sesqc.linalg
+from sesqc.decompose import compile_hamiltonian, compile_unitary
 from sesqc.errors import (
     CommutatorViolation,
     DecompositionError,
@@ -31,7 +32,6 @@ from sesqc.linalg import (
     symmetric_eig,
     unitary_diagonalize,
 )
-from sesqc.decompose import compile_hamiltonian, compile_unitary
 from sesqc.observables import spectral_decompose
 from sesqc.pulses import (
     PulseSchedule,

@@ -294,6 +294,8 @@ def test_compile_diagonal_phases_examples():
     assert compile_diagonal_phases([3.0, 3.0 + 2 * np.pi]).theta == 0.0
     third = compile_diagonal_phases([0.0, 2 * np.pi / 3, 4 * np.pi / 3])
     assert third.theta == pytest.approx(2 * np.pi / 3)
+    with pytest.raises(ValueError, match="phases"):
+        compile_diagonal_phases([np.inf, 0.0])
 
 
 def test_device_params_validation():
