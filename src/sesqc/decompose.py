@@ -30,9 +30,8 @@ from .pulses import (
     PulseSchedule,
     PulseStep,
     _centred_phases,
+    _dagger,
     compile_symmetric_generator,
-    optimal_shift,
-    rotation_angle,
 )
 
 ORTHOGONALITY_TOL = 1e-8
@@ -149,28 +148,21 @@ def aba_decompose(u) -> ABADecomposition:
     return aba
 
 
-def _one_pulse_generator(v: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """Real symmetric G with ``exp(-1j*G) = V e^{-i lam} V†`` up to a global
-    phase, for V whose generator ``V lam V†`` is real.
-
-    G is built from the principal phases ``lam`` and again from ``lam``
-    centred on its shortest arc (:func:`~sesqc.pulses._centred_phases`),
-    and the one with the smaller pulse angle is kept, ``lam`` on a tie.
-    """
-    generators = []
-    for phases in (lam, _centred_phases(lam)):
-        g = ((v * phases) @ v.conj().T).real
-        generators.append((g + g.T) / 2.0)
-    return min(generators, key=lambda g: rotation_angle(g, optimal_shift(g)))  # the first on a tie
+def _one_pulse_step(v: np.ndarray, lam: np.ndarray, device: DeviceParams, label: str) -> PulseStep:
+    """One pulse for ``V e^{-i lam} V†`` up to a global phase, for V whose
+    generator ``V lam V†`` is real: the shorter of the pulses compiled from
+    ``lam`` and from ``lam`` centred on its shortest arc
+    (:func:`~sesqc.pulses._centred_phases`), ``lam``'s on a tie."""
+    gs = [((v * phases) @ v.conj().T).real for phases in (lam, _centred_phases(lam))]
+    steps = [compile_symmetric_generator((g + g.T) / 2.0, device, label=label) for g in gs]
+    return min(steps, key=lambda step: step.theta)  # the first on a tie
 
 
 def _aba_steps(a: np.ndarray, b: np.ndarray, device: DeviceParams) -> list[PulseStep]:
-    """Execution-order pulses for e^{-iA} e^{-iB} e^{iA} (rightmost first)."""
-    return [
-        compile_symmetric_generator(-a, device, label="a_dagger"),
-        compile_symmetric_generator(b, device, label="b"),
-        compile_symmetric_generator(a, device, label="a"),
-    ]
+    """Execution-order pulses for e^{-iA} e^{-iB} e^{iA} (rightmost first);
+    the first is the exact inverse of the last."""
+    step_a = compile_symmetric_generator(a, device, label="a")
+    return [_dagger(step_a), compile_symmetric_generator(b, device, label="b"), step_a]
 
 
 def schedule_unitary(schedule: PulseSchedule) -> np.ndarray:
@@ -193,7 +185,7 @@ def compile_unitary(u, device: DeviceParams | None = None) -> PulseSchedule:
     """Compile an arbitrary unitary into at most three standard-form pulses.
 
     Symmetric unitaries (max|U - U.T| <= 1e-10) take a one-step shortcut
-    through a real symmetric logarithm (:func:`_one_pulse_generator`);
+    through a real symmetric logarithm (:func:`_one_pulse_step`);
     everything else goes through :func:`aba_decompose` and emits three
     steps.  The compiled schedule is verified against ``u`` to global-phase
     fidelity 1 - 1e-8.
@@ -202,7 +194,7 @@ def compile_unitary(u, device: DeviceParams | None = None) -> PulseSchedule:
     um = require_unitary(u, name="U")
     if max_abs(um - um.T) <= SYMMETRIC_SHORTCUT_TOL:
         v, lam = unitary_diagonalize((um + um.T) / 2.0)  # real V, as the input is symmetric
-        steps = [compile_symmetric_generator(_one_pulse_generator(v, lam), device, label="symmetric")]
+        steps = [_one_pulse_step(v, lam, device, "symmetric")]
     else:
         steps = _aba_steps(*_aba_generators(um), device)
     return _verified_schedule(steps, um, device)
@@ -215,7 +207,7 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     so the pulse angles stay bounded however large ``t`` is, and no matrix
     logarithm is needed.  Real symmetric Hamiltonians compile to a single
     pulse with the real generator ``V diag(phases) V†``, on the shorter of
-    two phase branches (:func:`_one_pulse_generator`); complex Hermitian
+    two phase branches (:func:`_one_pulse_step`); complex Hermitian
     ones reuse the KAK route with those phases as the diagonal, or emit
     three zero-angle pulses when the phases are all equal (a global phase).
     H counts as real when max|Im H| <= 1e-10 max|H|; that bound, and the
@@ -229,13 +221,15 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     # The fidelity check below compares against a target built from this
     # same eigendecomposition, so it relies on hermitian_eig's own residual check.
     v, spectrum = hermitian_eig(hm)
+    if not np.isfinite(abs(float(t)) * max_abs(spectrum)):  # Python floats overflow to inf silently
+        raise ValueError(f"t * spectrum of H overflows at t = {t}")
     lam = float(t) * spectrum
     # Wrap onto the principal branch; numpy's exp reduces its argument
     # exactly, where subtracting multiples of float(2*pi) would not.
     lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
     target = (v * np.exp(-1j * lam)) @ v.conj().T
     if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL * max_abs(hm):
-        steps = [compile_symmetric_generator(_one_pulse_generator(v, lam), device, label="hamiltonian")]
+        steps = [_one_pulse_step(v, lam, device, "hamiltonian")]
     elif max_abs(np.angle(np.exp(-1j * (lam - lam[0])))) <= ZERO_ANGLE_TOL:
         # A global phase: the KAK factors of the eigenbasis would still
         # give A a nonzero angle.

@@ -2,12 +2,13 @@
 
 All routines work on plain ``numpy`` arrays.  Matrix-valued preconditions
 (symmetric, Hermitian, unitary) are enforced by the ``require_*`` validators
-which either return a cleaned-up copy or raise a domain error.  Only this
-module decides how close a matrix must be to Hermitian, symmetric or
-diagonal, always relative to the input's own scale, so c*A fares as A does:
+which either return a cleaned-up copy or raise a domain error.  Their
+bounds are relative to the input's own scale, so c*A fares as A does:
 max|A|, or in :func:`simultaneous_diag` one joint scale s for its
 commutator and residual, the larger max row sum of |P|, |Q|.  Unitaries
-are unit-scale, so :func:`require_unitary` bounds absolutely.
+are unit-scale, so :func:`require_unitary` bounds absolutely.  Density
+matrices (``simulator.DENSITY_TOL``) and the one-pulse shortcuts of
+:mod:`sesqc.decompose` (``SYMMETRIC_SHORTCUT_TOL``) have bounds of their own.
 A real matrix equal to its transpose bit for bit, as every K sesqc builds
 is, is its own symmetrised mean, so :func:`require_real_symmetric` copies it
 without measuring it.

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .decompose import compile_unitary
-from .errors import DecompositionError
+from .errors import DecompositionError, DimensionMismatch
 from .linalg import SPECTRAL_RESIDUAL_TOL, hermitian_eig, max_abs, require_hermitian
 from .pulses import DeviceParams
 from .simulator import DensityMatrixState, measure, occupations, run_schedule
@@ -74,6 +74,8 @@ def expectation_exact(rho, o) -> float:
     """Reference value ``tr(rho @ O)`` computed directly."""
     dm = _as_density(rho)
     obs = _as_observable(o)
+    if obs.n != dm.n:
+        raise DimensionMismatch(f"observable is {obs.n}-dimensional, state is {dm.n}")
     value = complex(np.trace(dm.matrix @ obs.matrix))
     if abs(value.imag) > SPECTRAL_RESIDUAL_TOL * max_abs(obs.matrix):
         raise DecompositionError(f"tr(rho O) has imaginary residue {value.imag:.3e}")

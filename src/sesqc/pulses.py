@@ -5,7 +5,7 @@ in [-1, 1], held for a dimensionless rotation angle ``theta`` (the product
 of the coupling ceiling g_max and the hold time, in radians).  Any real
 symmetric generator ``A`` maps onto this form by subtracting the optimal
 multiple of the identity (a global phase) and rescaling by the largest
-remaining entry.
+remaining entry.  The inverse of a pulse holds -K for the same angle.
 
 A schedule's net unitary applies diagonal and single-pair pulses, which
 make up all but one pulse of the linear preparation protocol, in closed
@@ -19,7 +19,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DecompositionError, DimensionMismatch
+from .errors import DimensionMismatch
 from .linalg import expm_generator, max_abs, require_real_symmetric
 
 ZERO_ANGLE_TOL = 1e-12
@@ -138,26 +138,32 @@ def rotation_angle(a, c: float) -> float:
     return max_abs(am - float(c) * np.eye(am.shape[0]))
 
 
+def _saturated(g: np.ndarray, label: str) -> PulseStep:
+    """The pulse for ``exp(-1j*g)``: ``theta = max|g|`` and ``K = g / theta``,
+    whose largest entry is then exactly +-1 (time optimality), or a
+    zero-duration pulse when theta is within ``ZERO_ANGLE_TOL``."""
+    theta = max_abs(g)
+    if theta <= ZERO_ANGLE_TOL:
+        return PulseStep(k=np.zeros(g.shape), theta=0.0, label=label)
+    return PulseStep(k=g / theta, theta=theta, label=label)
+
+
 def compile_symmetric_generator(a, device: DeviceParams | None = None, label: str = "") -> PulseStep:
     """Compile ``exp(-1j*A)`` into a single standard-form pulse.
 
-    Applies the optimal identity shift, then rescales so the largest entry
-    of K saturates at magnitude 1 (time optimality).  Generators within
+    A is validated once and shifted by the midpoint of its diagonal
+    (:func:`optimal_shift`), then saturated; generators within
     ``ZERO_ANGLE_TOL`` of a multiple of the identity compile to a
     zero-duration step.
     """
     am = require_real_symmetric(a, name="A")
-    n = am.shape[0]
-    c = optimal_shift(am)
-    theta = rotation_angle(am, c)
-    if theta <= ZERO_ANGLE_TOL:
-        return PulseStep(k=np.zeros((n, n)), theta=0.0, label=label)
-    k = (am - c * np.eye(n)) / theta
-    step = PulseStep(k=k, theta=theta, label=label)
-    peak = max_abs(step.k)
-    if abs(peak - 1.0) > 1e-12:
-        raise DecompositionError(f"compiled K has max|K| = {peak!r}, not the saturated 1")
-    return step
+    d = np.diagonal(am)
+    return _saturated(am - float((d.min() + d.max()) / 2.0) * np.eye(am.shape[0]), label)
+
+
+def _dagger(step: PulseStep) -> PulseStep:
+    """Inverse pulse: same angle, negated coupling matrix (zeros stay +0.0)."""
+    return PulseStep(k=0.0 - step.k, theta=step.theta, label=step.label + "_dagger")
 
 
 def _centred_phases(phases) -> np.ndarray:
@@ -184,12 +190,7 @@ def compile_diagonal_phases(phases, label: str = "") -> PulseStep:
     and K saturated, so ``theta`` is half that arc.  Phases within
     ``ZERO_ANGLE_TOL`` of each other compile to a zero-duration step.
     """
-    shifted = _centred_phases(phases)
-    n = shifted.size
-    theta = float(np.max(np.abs(shifted)))
-    if theta <= ZERO_ANGLE_TOL:
-        return PulseStep(k=np.zeros((n, n)), theta=0.0, label=label)
-    return PulseStep(k=np.diag(shifted / theta), theta=theta, label=label)
+    return _saturated(np.diag(_centred_phases(phases)), label)
 
 
 def schedule_duration_ns(schedule: PulseSchedule) -> float:

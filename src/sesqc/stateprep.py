@@ -26,7 +26,8 @@ from .errors import (
     NonUniformWeights,
     SesqcError,
 )
-from .pulses import TWO_PI, DeviceParams, PulseSchedule, PulseStep, compile_diagonal_phases
+from .linalg import max_abs, unit_scale
+from .pulses import TWO_PI, DeviceParams, PulseSchedule, PulseStep, _dagger, compile_diagonal_phases
 
 NORM_TOL = 1e-10
 UNIFORM_WEIGHT_TOL = 1e-10
@@ -67,6 +68,8 @@ class SESState:
 
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "SESState":
+        if not 0 <= index < n:
+            raise ValueError(f"basis index {index} outside 0..{n - 1}")
         a = np.zeros(n, dtype=np.complex128)
         a[index] = 1.0
         return cls(a)
@@ -74,6 +77,9 @@ class SESState:
     @classmethod
     def normalized(cls, amplitudes) -> "SESState":
         a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
+        if not np.all(np.isfinite(a)):
+            raise ValueError("state contains non-finite amplitudes")
+        a = a * unit_scale(max_abs(a))  # exact; the norm then neither overflows nor underflows
         norm = float(np.linalg.norm(a))
         if norm == 0.0:
             raise ValueError("cannot normalise the zero vector")
@@ -99,11 +105,6 @@ class PrepPlan:
 def uniform_state(n: int) -> SESState:
     """The uniform superposition with real positive amplitudes."""
     return SESState(np.full(n, 1.0 / np.sqrt(n), dtype=np.complex128))
-
-
-def _dagger(step: PulseStep) -> PulseStep:
-    """Inverse pulse: same angle, negated coupling matrix (zeros stay +0.0)."""
-    return PulseStep(k=0.0 - step.k, theta=step.theta, label=step.label + "_dagger")
 
 
 def _diagonal_dagger(step: PulseStep) -> PulseStep:

@@ -34,3 +34,9 @@ def eig_calls(monkeypatch):
 def expm_calls(monkeypatch):
     """Counts of dense pulse exponentials (``expm_generator`` calls)."""
     return _count_calls(monkeypatch, ("expm_generator",))
+
+
+@pytest.fixture
+def validate_calls(monkeypatch):
+    """Counts of ``require_real_symmetric`` calls."""
+    return _count_calls(monkeypatch, ("require_real_symmetric",))

@@ -7,7 +7,6 @@ import pytest
 
 import golden
 import sesqc.cli
-import sesqc.pulses
 from sesqc import errors
 from sesqc.cli import main
 from sesqc.formats import load_schedule, save_matrix, save_schedule, save_state
@@ -107,15 +106,6 @@ def test_compile_rejects_boolean_entries(tmp_path, capsys):
     path.write_text('{"n": 1, "entries": [[[true, false]]]}')
     code, _, _ = run_cli(capsys, "compile", str(path), "--out", str(tmp_path / "s.json"))
     assert code == 2
-
-
-def test_compile_unsaturated_pulse_exits_4(tmp_path, capsys, monkeypatch):
-    true_angle = sesqc.pulses.rotation_angle
-    monkeypatch.setattr(sesqc.pulses, "rotation_angle", lambda a, c: 2.0 * true_angle(a, c))
-    out = tmp_path / "s.json"
-    code, _, err = run_cli(capsys, "compile", str(write_unitary(tmp_path)), "--out", str(out))
-    assert code == 4
-    assert "error" in err
 
 
 @pytest.mark.parametrize("error, code, prefix", [

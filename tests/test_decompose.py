@@ -9,6 +9,7 @@ import golden
 import sesqc.linalg
 from sesqc.decompose import (
     SYMMETRIC_SHORTCUT_TOL,
+    _aba_steps,
     aba_decompose,
     compile_hamiltonian,
     compile_unitary,
@@ -212,6 +213,37 @@ def test_compile_unitary_three_steps(n):
     schedule = compile_unitary(u)
     assert [s.label for s in schedule.steps] == ["a_dagger", "b", "a"]
     assert global_phase_fidelity(schedule_unitary(schedule), u) >= 1 - 1e-8
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(0.0, 1.0))
+def test_first_aba_pulse_inverts_the_last(n, seed, density):
+    """a_dagger holds the angle of a and exactly -K, with +0.0 for its zeros,
+    for dense and sparse generators."""
+    rng = np.random.default_rng(seed)
+    a, b = (np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < density)) for _ in range(2))
+    first, _, last = _aba_steps(a + np.triu(a, 1).T, b + np.triu(b, 1).T, DeviceParams())
+    assert (first.label, last.label) == ("a_dagger", "a")
+    assert first.theta == last.theta
+    assert np.array_equal(first.k, -last.k)
+    assert not np.any(np.signbit(first.k) & (first.k == 0.0))
+
+
+def test_each_generator_is_validated_once(validate_calls):
+    """require_real_symmetric calls per n = 8 compile: one per compiled
+    generator (two, a and b, or the two phase-branch candidates), one per
+    PulseStep's K, one per dense pulse exponential, and one in each real
+    eigensolve of unitary_diagonalize (the KAK's U U.T, or a symmetric U)."""
+    rng = np.random.default_rng(709)
+    u = random_unitary(8, rng)
+    h = rng.normal(size=(8, 8))
+    counts = []
+    for compile_ in (lambda: compile_unitary(u), lambda: compile_unitary(u @ u.T),
+                     lambda: compile_hamiltonian((h + h.T) / 2, 1.3)):
+        validate_calls.clear()
+        compile_()
+        counts.append(validate_calls["require_real_symmetric"])
+    assert counts == [9, 6, 5]
 
 
 def test_compile_unitary_symmetric_one_step():
@@ -445,6 +477,16 @@ def test_compile_hamiltonian_rejects_wrong_eigendecomposition(monkeypatch, compl
     monkeypatch.setattr(sesqc.linalg, "_jacobi", off_by_1e_6)
     with pytest.raises(DecompositionError, match="spectral residual"):
         compile_hamiltonian(1e-3 * h, t=1.0)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("imag", [0.0, 1.0])
+def test_compile_hamiltonian_refuses_overflowing_phases(imag):
+    """t = 1e308 is finite, but t * 10 is not: refused before any phase is formed."""
+    h = np.diag([10.0, -10.0, 3.0]).astype(complex)
+    h[0, 1], h[1, 0] = 1j * imag, -1j * imag
+    with pytest.raises(ValueError, match=r"t \* spectrum of H overflows"):
+        compile_hamiltonian(h, t=1e308)
 
 
 def test_compile_hamiltonian_rejects_bad_time():

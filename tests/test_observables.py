@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import sesqc.linalg
-from sesqc.errors import DecompositionError, NotHermitian
+from sesqc.errors import DecompositionError, DimensionMismatch, NotHermitian
 from sesqc.observables import (
     Observable,
     expectation_exact,
@@ -77,6 +77,11 @@ def test_expectation_exact_is_trace(n):
     o = random_observable_matrix(n, rng)
     expected = float(np.trace(rho.matrix @ o).real)
     assert expectation_exact(rho, o) == pytest.approx(expected, abs=1e-12)
+
+
+def test_expectation_exact_rejects_mismatched_sizes():
+    with pytest.raises(DimensionMismatch, match="observable is 2-dimensional, state is 3"):
+        expectation_exact(np.eye(3) / 3, np.diag([1.0, -1.0]))
 
 
 def test_expectation_exact_accepts_pure_state():

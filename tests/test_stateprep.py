@@ -30,6 +30,7 @@ def random_state(n, rng):
 # SESState
 
 
+@pytest.mark.filterwarnings("error")
 def test_state_validation():
     with pytest.raises(ValueError):
         SESState(np.array([1.0, 1.0]))  # not normalised
@@ -39,6 +40,11 @@ def test_state_validation():
         SESState(np.array([]))
     with pytest.raises(ValueError):
         SESState.normalized(np.zeros(3))
+    with pytest.raises(ValueError, match="non-finite"):  # before the norm warns of an invalid value
+        SESState.normalized([np.inf, 1.0])
+    for index in (-1, 3):
+        with pytest.raises(ValueError, match="basis index"):
+            SESState.basis(3, index)
 
 
 def test_state_properties():
@@ -51,6 +57,14 @@ def test_state_properties():
 def test_state_basis():
     s = SESState.basis(4, 2)
     np.testing.assert_allclose(s.amplitudes, [0, 0, 1, 0])
+
+
+@pytest.mark.parametrize("amps, expected", [
+    ([1e308, 1e308], [np.sqrt(0.5), np.sqrt(0.5)]),  # the plain norm overflows
+    ([1e-320, 0.0], [1.0, 0.0]),  # and here underflows to 0
+])
+def test_normalized_takes_the_direction_at_any_scale(amps, expected):
+    np.testing.assert_allclose(SESState.normalized(amps).amplitudes, expected, rtol=1e-15)
 
 
 def test_state_amplitudes_frozen():
