@@ -10,6 +10,8 @@ into :class:`~sesqc.pulses.PulseSchedule` objects.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,21 +150,21 @@ def aba_decompose(u) -> ABADecomposition:
     return aba
 
 
-def _one_pulse_step(v: np.ndarray, lam: np.ndarray, device: DeviceParams, label: str) -> PulseStep:
+def _one_pulse_step(v: np.ndarray, lam: np.ndarray, label: str) -> PulseStep:
     """One pulse for ``V e^{-i lam} V†`` up to a global phase, for V whose
     generator ``V lam V†`` is real: the shorter of the pulses compiled from
     ``lam`` and from ``lam`` centred on its shortest arc
     (:func:`~sesqc.pulses._centred_phases`), ``lam``'s on a tie."""
     gs = [((v * phases) @ v.conj().T).real for phases in (lam, _centred_phases(lam))]
-    steps = [compile_symmetric_generator((g + g.T) / 2.0, device, label=label) for g in gs]
+    steps = [compile_symmetric_generator((g + g.T) / 2.0, label=label) for g in gs]
     return min(steps, key=lambda step: step.theta)  # the first on a tie
 
 
-def _aba_steps(a: np.ndarray, b: np.ndarray, device: DeviceParams) -> list[PulseStep]:
+def _aba_steps(a: np.ndarray, b: np.ndarray) -> list[PulseStep]:
     """Execution-order pulses for e^{-iA} e^{-iB} e^{iA} (rightmost first);
     the first is the exact inverse of the last."""
-    step_a = compile_symmetric_generator(a, device, label="a")
-    return [_dagger(step_a), compile_symmetric_generator(b, device, label="b"), step_a]
+    step_a = compile_symmetric_generator(a, label="a")
+    return [_dagger(step_a), compile_symmetric_generator(b, label="b"), step_a]
 
 
 def schedule_unitary(schedule: PulseSchedule) -> np.ndarray:
@@ -194,9 +196,9 @@ def compile_unitary(u, device: DeviceParams | None = None) -> PulseSchedule:
     um = require_unitary(u, name="U")
     if max_abs(um - um.T) <= SYMMETRIC_SHORTCUT_TOL:
         v, lam = unitary_diagonalize((um + um.T) / 2.0)  # real V, as the input is symmetric
-        steps = [_one_pulse_step(v, lam, device, "symmetric")]
+        steps = [_one_pulse_step(v, lam, "symmetric")]
     else:
-        steps = _aba_steps(*_aba_generators(um), device)
+        steps = _aba_steps(*_aba_generators(um))
     return _verified_schedule(steps, um, device)
 
 
@@ -215,8 +217,8 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     with H, so s*H for time t/s compiles as H for time t does.
     """
     device = device or DeviceParams()
-    if not np.isfinite(t):
-        raise ValueError("t must be finite")
+    if isinstance(t, bool) or not isinstance(t, numbers.Real) or not math.isfinite(t):
+        raise ValueError(f"t must be a finite real number, got {t!r}")
     hm = require_hermitian(h, name="H")
     # The fidelity check below compares against a target built from this
     # same eigendecomposition, so it relies on hermitian_eig's own residual check.
@@ -229,11 +231,11 @@ def compile_hamiltonian(h, t: float, device: DeviceParams | None = None) -> Puls
     lam = np.where(np.abs(lam) <= np.pi, lam, -np.angle(np.exp(-1j * lam)))
     target = (v * np.exp(-1j * lam)) @ v.conj().T
     if max_abs(hm.imag) <= SYMMETRIC_SHORTCUT_TOL * max_abs(hm):
-        steps = [_one_pulse_step(v, lam, device, "hamiltonian")]
+        steps = [_one_pulse_step(v, lam, "hamiltonian")]
     elif max_abs(np.angle(np.exp(-1j * (lam - lam[0])))) <= ZERO_ANGLE_TOL:
         # A global phase: the KAK factors of the eigenbasis would still
         # give A a nonzero angle.
-        steps = _aba_steps(np.zeros(hm.shape), np.zeros(hm.shape), device)
+        steps = _aba_steps(np.zeros(hm.shape), np.zeros(hm.shape))
     else:
-        steps = _aba_steps(*_kak_generators(v, lam), device)
+        steps = _aba_steps(*_kak_generators(v, lam))
     return _verified_schedule(steps, target, device)

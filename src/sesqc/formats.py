@@ -10,19 +10,27 @@ Three document shapes, all plain JSON so doubles round-trip bit-exactly
   "K": [[...], ...]}, ...], "total_theta", "duration_ns", "metadata"}``
   with steps in execution order.  Angles are canonical; the stored
   duration is checked against the angles on load.  A schedule file is
-  written one pulse at a time, so the writer holds one K as Python
-  objects, not the O(n^3) numbers of a whole linear schedule; reading
-  still builds the whole document.
+  written one pulse at a time, in the bytes ``json.dumps`` gives for the
+  whole document.  Each K is the text of an all-zero n×n K, made once per
+  file, with the shortest repr of each entry whose bits are nonzero
+  (``-0.0`` included) spliced in at its fixed offset; the linear
+  protocol's K hold O(n) such entries, so the writer formats O(n) numbers
+  per pulse, not n^2.  Reading still builds the whole document.
 
 Every number is read by one rule: a JSON integer or float, never a
-boolean, a string or ``null``, in an array of exactly the expected shape.
-Integers beyond float range are rejected too, so the ``*_from_obj``
-readers raise :class:`ValueError` on malformed input and nothing else.
-Complex values are read and written as the trailing ``[re, im]`` axis of a
-float64 array, which keeps every bit, ``-0.0`` and subnormals included.
+boolean, a string or ``null``, in nested lists of exactly the expected
+shape.  Integers beyond float range are rejected too, so the
+``*_from_obj`` readers raise :class:`ValueError` on malformed input and
+nothing else.  An array is read by one scan of its nested lists, level by
+level, that checks their lengths and collects the types of the leaves,
+then one ``np.fromiter`` conversion of the leaves to float64, with no
+object array.  Complex values are read and written as the trailing
+``[re, im]`` axis of a float64 array, which keeps every bit, ``-0.0`` and
+subnormals included.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -45,14 +53,22 @@ def _is_size(n) -> bool:
 
 def _numbers(value, shape: tuple, what: str) -> np.ndarray:
     """``value`` as a float64 array of ``shape``; every leaf must be a JSON number."""
-    a = np.array(value, dtype=object)
-    types = set(map(type, a.flat))
-    # bool subclasses int, but JSON true/false are not numbers
-    if a.shape != shape or bool in types or not all(issubclass(t, (int, float)) for t in types):
-        raise ValueError(f"{what} must be an array of numbers of shape {'x'.join(map(str, shape))}"
-                         if shape else f"{what} must be a number")
+    leaves = [value]
+    for size in shape:  # one level of nested lists at a time, down to the leaves
+        if not (all(map(isinstance, leaves, itertools.repeat((list, tuple))))
+                and set(map(len, leaves)) == {size}):
+            leaves = [None]  # a wrong shape, refused below as a leaf that is no number
+            break
+        leaves = list(itertools.chain.from_iterable(leaves))
+    types = list(map(type, leaves))
+    if types.count(float) < len(types):  # else every leaf is a float
+        types = set(types)
+        # bool subclasses int, but JSON true/false are not numbers
+        if bool in types or not all(issubclass(t, (int, float)) for t in types):
+            raise ValueError(f"{what} must be an array of numbers of shape {'x'.join(map(str, shape))}"
+                             if shape else f"{what} must be a number")
     try:
-        return a.astype(np.float64)
+        return np.fromiter(leaves, dtype=np.float64, count=len(leaves)).reshape(shape)
     except OverflowError as exc:
         raise ValueError(f"{what} holds a number beyond float range") from exc
 
@@ -94,16 +110,15 @@ def state_from_obj(obj) -> np.ndarray:
 
 
 def _schedule_fields(schedule: PulseSchedule, source: str, seed: int | None) -> dict:
-    """The schedule document in field order, its ``"steps"`` a lazy iterator of
-    step objects, so :func:`save_schedule` can encode one pulse at a time."""
+    """The schedule document in field order, with the :class:`PulseStep` tuple
+    in place of its list of step objects."""
     metadata: dict = {"source": source}
     if seed is not None:
         metadata["seed"] = int(seed)
     return {
         "n": int(schedule.n),
         "g_max_mhz_over_2pi": float(schedule.device.g_max_mhz_over_2pi),
-        "steps": ({"label": step.label, "theta": float(step.theta), "K": step.k.tolist()}
-                  for step in schedule.steps),
+        "steps": schedule.steps,
         "total_theta": float(schedule.total_angle),
         "duration_ns": float(schedule.duration_ns),
         "metadata": metadata,
@@ -112,7 +127,8 @@ def _schedule_fields(schedule: PulseSchedule, source: str, seed: int | None) -> 
 
 def schedule_to_obj(schedule: PulseSchedule, source: str = "", seed: int | None = None) -> dict:
     obj = _schedule_fields(schedule, source, seed)
-    obj["steps"] = list(obj["steps"])
+    obj["steps"] = [{"label": step.label, "theta": step.theta, "K": step.k.tolist()}
+                    for step in schedule.steps]
     return obj
 
 
@@ -151,8 +167,8 @@ def schedule_from_obj(obj) -> PulseSchedule:
     return schedule
 
 
-def _dumps(obj) -> str:
-    return json.dumps(obj, separators=(",", ":"))
+# json.dumps(obj, separators=(",", ":")) from one encoder, not a new one per call
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def save_json(path, obj: dict) -> None:
@@ -182,17 +198,41 @@ def load_state(path) -> np.ndarray:
     return state_from_obj(load_json(path))
 
 
+def _zero_k_text(n: int) -> str:
+    """The text of an all-zero n×n K: entry (i, j) is the ``0.0`` at
+    ``2 + i*(4n + 2) + 4j``."""
+    row = "[" + ",".join(["0.0"] * n) + "]"
+    return "[" + ",".join([row] * n) + "]"
+
+
+def _k_text(k: np.ndarray, zero: str) -> str:
+    """``_dumps(k.tolist())`` for a float64 K: its nonzero entries, -0.0
+    found by its bits, spliced into ``zero``, the text of :func:`_zero_k_text`."""
+    n = k.shape[0]
+    flat = k.reshape(-1)
+    nonzero = flat.view(np.int64).nonzero()[0]
+    text, end = [], 0
+    for f, value in zip(nonzero.tolist(), flat[nonzero].tolist()):
+        start = 2 + 4 * f + 2 * (f // n)  # 2 + i*(4n + 2) + 4j for (i, j) = divmod(f, n)
+        text += (zero[end:start], repr(value))
+        end = start + 3
+    text.append(zero[end:])
+    return "".join(text)
+
+
 def save_schedule(path, schedule: PulseSchedule, source: str = "", seed: int | None = None) -> None:
     """Write the bytes :func:`save_json` writes for :func:`schedule_to_obj`,
     encoding one step at a time: a dense K is n^2 numbers per pulse, and the
     whole document as Python objects is O(n^3)."""
+    zero = _zero_k_text(schedule.n)
     with open(path, "w") as f:
         for i, (key, value) in enumerate(_schedule_fields(schedule, source, seed).items()):
             f.write(("," if i else "{") + _dumps(key) + ":")
             if key == "steps":
                 f.write("[")
                 for j, step in enumerate(value):
-                    f.write(("," if j else "") + _dumps(step))
+                    f.write(("," if j else "") + '{"label":' + _dumps(step.label) + ',"theta":'
+                            + _dumps(step.theta) + ',"K":' + _k_text(step.k, zero) + "}")
                 f.write("]")
             else:
                 f.write(_dumps(value))

@@ -64,14 +64,14 @@ _HALF_MAX = np.finfo(np.float64).max / 2
 
 def max_abs(a: np.ndarray) -> float:
     """Largest absolute entry (max norm), 0.0 for empty input."""
-    return float(np.max(np.abs(a))) if a.size else 0.0
+    return float(np.abs(a).max()) if a.size else 0.0
 
 
 def _as_square(a, name: str = "matrix") -> np.ndarray:
     out = np.asarray(a)
     if out.ndim != 2 or out.shape[0] != out.shape[1] or not out.size:
         raise DimensionMismatch(f"{name} must be square and non-empty, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
     return out
 
@@ -108,7 +108,7 @@ def require_real_symmetric(a, name: str = "matrix") -> np.ndarray:
             raise NotHermitian(f"{name} has imaginary entries above {SYMMETRY_TOL:g} max|A|")
         r = c.real
     bits = r.view(np.int64)  # bit for bit, so a 0.0 mirroring -0.0 is still averaged to +0.0
-    if np.array_equal(bits, bits.T):
+    if (bits == bits.T).all():
         return np.array(r, order="C")  # what _mean_with_mirror returns for it, at any scale
     return _mean_with_mirror(r, r.T, SYMMETRY_TOL, name, "symmetric")
 

@@ -60,7 +60,7 @@ class PulseStep:
         km.flags.writeable = False
         object.__setattr__(self, "k", km)
         theta = float(self.theta)
-        if not np.isfinite(theta) or theta < 0.0:
+        if not math.isfinite(theta) or theta < 0.0:
             raise ValueError(f"theta must be finite and >= 0, got {theta}")
         object.__setattr__(self, "theta", theta)
 
@@ -98,13 +98,18 @@ class PulseSchedule:
         """
         u = np.eye(self.n, dtype=np.complex128)
         for step in self.steps:
-            rows, cols = np.nonzero(step.k)
-            if np.array_equal(rows, cols):
-                u[rows] *= np.exp(-1j * (step.theta * step.k[rows, cols]))[:, None]
-            elif rows.size == 2:  # K is exactly symmetric, so this is the pair (i, j), (j, i)
-                i, j = rows
+            flat = step.k.reshape(-1)
+            nonzero = flat.nonzero()[0]
+            entries = nonzero.tolist()
+            if all(f % (self.n + 1) == 0 for f in entries):  # only diagonal entries
+                u[nonzero // (self.n + 1)] *= np.exp(-1j * (step.theta * flat[nonzero]))[:, None]
+            elif len(entries) == 2:  # K is exactly symmetric, so this is the pair (i, j), (j, i)
+                i, j = divmod(entries[0], self.n)
                 angle = step.theta * step.k[i, j]
-                u[[i, j]] = math.cos(angle) * u[[i, j]] - 1j * math.sin(angle) * u[[j, i]]
+                c, i_s = math.cos(angle), 1j * math.sin(angle)
+                row_i = u[i].copy()
+                u[i] = c * row_i - i_s * u[j]
+                u[j] = c * u[j] - i_s * row_i
             else:
                 u = expm_generator(step.theta, step.k) @ u
         u.flags.writeable = False
@@ -148,7 +153,7 @@ def _saturated(g: np.ndarray, label: str) -> PulseStep:
     return PulseStep(k=g / theta, theta=theta, label=label)
 
 
-def compile_symmetric_generator(a, device: DeviceParams | None = None, label: str = "") -> PulseStep:
+def compile_symmetric_generator(a, label: str = "") -> PulseStep:
     """Compile ``exp(-1j*A)`` into a single standard-form pulse.
 
     A is validated once and shifted by the midpoint of its diagonal
@@ -173,11 +178,12 @@ def _centred_phases(phases) -> np.ndarray:
     global phase, with max|phase| half that arc, at most ``pi * (1 - 1/n)``.
     """
     p = np.asarray(phases, dtype=np.float64)
-    if not p.size or not np.all(np.isfinite(p)):
+    if not p.size or not np.isfinite(p).all():
         raise ValueError("phases must be a non-empty vector of finite numbers")
     p = np.mod(p, TWO_PI)
     ordered = np.sort(p)
-    gaps = np.diff(ordered, append=ordered[0] + TWO_PI)
+    ends = np.concatenate((ordered, [ordered[0] + TWO_PI]))
+    gaps = ends[1:] - ends[:-1]
     widest = int(np.argmax(gaps))
     centre = ordered[(widest + 1) % p.size] + (TWO_PI - gaps[widest]) / 2.0
     return np.pi - np.mod(np.pi - (p - centre), TWO_PI)

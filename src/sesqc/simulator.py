@@ -146,6 +146,8 @@ def measure(state: SESState | DensityMatrixState, shots: int, seed: int | None =
         raise ValueError(f"shots must be an integer, got {shots!r}")
     if not 1 <= shots <= SHOTS_MAX:
         raise ValueError(f"shots must be in 1..{SHOTS_MAX}, got {shots}")
+    if seed is not None and (isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0):
+        raise ValueError(f"seed must be None or a non-negative integer, got {seed!r}")
     p = np.clip(occupations(state), 0.0, None)
     p = p / p.sum()
     rng = np.random.default_rng(seed)

@@ -34,6 +34,14 @@ UNIFORM_WEIGHT_TOL = 1e-10
 SWAP_RESIDUAL_TOL = 1e-12
 
 
+def _vector(amplitudes) -> np.ndarray:
+    """Complex copy of ``amplitudes``, flattened from a 1-D array, a row or a column."""
+    a = np.array(amplitudes, dtype=np.complex128)
+    if a.ndim > 2 or (a.ndim == 2 and 1 not in a.shape):
+        raise ValueError(f"amplitudes must be a row or column vector, got shape {a.shape}")
+    return a.reshape(-1)
+
+
 @dataclass(frozen=True)
 class SESState:
     """Pure state in the single-excitation subspace, one amplitude per qubit."""
@@ -41,10 +49,10 @@ class SESState:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.amplitudes, dtype=np.complex128, copy=True).reshape(-1)
+        a = _vector(self.amplitudes)
         if a.size < 1:
             raise ValueError("state needs at least one amplitude")
-        if not np.all(np.isfinite(a)):
+        if not np.isfinite(a).all():
             raise ValueError("state contains non-finite amplitudes")
         norm_err = abs(float(np.sum(np.abs(a) ** 2)) - 1.0)
         if norm_err > NORM_TOL:
@@ -68,6 +76,8 @@ class SESState:
 
     @classmethod
     def basis(cls, n: int, index: int = 0) -> "SESState":
+        if isinstance(index, bool) or not isinstance(index, (int, np.integer)):
+            raise ValueError(f"basis index must be an integer, got {index!r}")
         if not 0 <= index < n:
             raise ValueError(f"basis index {index} outside 0..{n - 1}")
         a = np.zeros(n, dtype=np.complex128)
@@ -76,8 +86,8 @@ class SESState:
 
     @classmethod
     def normalized(cls, amplitudes) -> "SESState":
-        a = np.asarray(amplitudes, dtype=np.complex128).reshape(-1)
-        if not np.all(np.isfinite(a)):
+        a = _vector(amplitudes)
+        if not np.isfinite(a).all():
             raise ValueError("state contains non-finite amplitudes")
         a = a * unit_scale(max_abs(a))  # exact; the norm then neither overflows nor underflows
         norm = float(np.linalg.norm(a))
@@ -247,7 +257,7 @@ def prepare_state_schedule(target, device: DeviceParams | None = None, mode: str
     device = device or DeviceParams()
     plan, schedule = _build_plan(state, device)
     if mode == "three_step":
-        steps = _aba_steps(*_aba_generators(plan.compiled_u), device)
+        steps = _aba_steps(*_aba_generators(plan.compiled_u))
         schedule = PulseSchedule(n=state.n, steps=tuple(steps), device=device)
     elif mode != "linear":
         raise ValueError(f"unknown mode {mode!r}; expected 'linear' or 'three_step'")

@@ -222,7 +222,7 @@ def test_first_aba_pulse_inverts_the_last(n, seed, density):
     for dense and sparse generators."""
     rng = np.random.default_rng(seed)
     a, b = (np.triu(rng.normal(size=(n, n)) * (rng.random((n, n)) < density)) for _ in range(2))
-    first, _, last = _aba_steps(a + np.triu(a, 1).T, b + np.triu(b, 1).T, DeviceParams())
+    first, _, last = _aba_steps(a + np.triu(a, 1).T, b + np.triu(b, 1).T)
     assert (first.label, last.label) == ("a_dagger", "a")
     assert first.theta == last.theta
     assert np.array_equal(first.k, -last.k)
@@ -492,3 +492,18 @@ def test_compile_hamiltonian_refuses_overflowing_phases(imag):
 def test_compile_hamiltonian_rejects_bad_time():
     with pytest.raises(ValueError):
         compile_hamiltonian(np.eye(3), t=np.inf)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("t", ["1", None, True, 1j, [1.0], np.array(1.0), float("nan")])
+def test_compile_hamiltonian_refuses_non_real_time(t):
+    """t must be a finite real number: a string, a bool, a complex number or
+    an array is refused by name, not by a numpy TypeError."""
+    with pytest.raises(ValueError, match="t must be a finite real number"):
+        compile_hamiltonian(np.eye(2), t)
+
+
+@pytest.mark.parametrize("t", [2, np.float64(2.0), np.int32(2)])
+def test_compile_hamiltonian_accepts_real_number_types(t):
+    h = np.diag([0.5, -0.5])
+    assert compile_hamiltonian(h, t).total_angle == compile_hamiltonian(h, 2.0).total_angle

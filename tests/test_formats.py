@@ -1,6 +1,7 @@
 """JSON document round-trip and validation tests."""
 
 import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -91,31 +92,38 @@ def test_double_round_trip_is_stable(tmp_path):
 # ---------------------------------------------------------------------------
 # the streaming schedule writer
 
-K_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e-310, 1.0, -1.0]),
-                      st.floats(-1.0, 1.0))
+SPECIAL_ENTRIES = np.array([0.0, -0.0, 5e-324, -2.5e-320, 1e-310, 1.0, -1.0, 0.5, 1e-05, -1e-300])
 LABELS = st.one_of(st.text(), st.text(alphabet='"\\\'/\n\t\x00\x7fé中\u2028\U0001f600'))
+K_SHAPES = ("diagonal", "pair", "star", "dense")
 
 
 @st.composite
 def pulse_step(draw, n):
-    """A step whose K is diagonal, one symmetric pair or dense."""
-    kind = draw(st.sampled_from(["diagonal", "pair", "dense"]))
-    k = np.zeros((n, n))
-    if kind == "diagonal":
-        k[np.diag_indices(n)] = draw(st.lists(K_ENTRIES, min_size=n, max_size=n))
-    elif kind == "pair" and n > 1:
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        k[i, j] = k[j, i] = draw(K_ENTRIES)
-    else:
-        upper = np.triu_indices(n)
-        k[upper] = draw(st.lists(K_ENTRIES, min_size=upper[0].size, max_size=upper[0].size))
-        k.T[upper] = k[upper]
+    """A step whose K has a nonzero pattern of the linear protocol (diagonal,
+    one symmetric pair, a star on one qubit) or is dense; its entries mix
+    uniform draws with signed zeros, subnormals and +-1."""
+    kind = draw(st.sampled_from(K_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    entries = np.where(rng.random((n, n)) < 0.5, rng.uniform(-1.0, 1.0, (n, n)),
+                       rng.choice(SPECIAL_ENTRIES, (n, n)))
+    pattern = np.eye(n, dtype=bool)
+    if kind == "pair" and n > 1:
+        i, j = rng.choice(n, size=2, replace=False)
+        pattern[:] = False
+        pattern[i, j] = True
+    elif kind == "star":
+        pattern[rng.integers(n)] = True
+    elif kind == "dense":
+        pattern[:] = True
+    k = np.where(pattern | pattern.T, entries, 0.0)
+    lower = np.tril_indices(n, -1)
+    k[lower] = k.T[lower]  # symmetric bit for bit, so PulseStep keeps every -0.0
     return PulseStep(k=k, theta=draw(st.floats(0.0, 10.0)), label=draw(LABELS))
 
 
 @st.composite
 def schedules(draw):
-    n = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 40))
     device = DeviceParams(g_max_mhz_over_2pi=draw(st.floats(1e-3, 1e3)))
     return PulseSchedule(n=n, steps=tuple(draw(st.lists(pulse_step(n), max_size=4))), device=device)
 
@@ -325,6 +333,39 @@ def test_schedule_from_obj_entry_types():
         step = schedule_from_obj(doc).steps[0]
         assert step.k.dtype == np.float64
         assert np.array_equal(step.k, np.eye(2))
+
+
+BAD_LEAVES = (True, "1.5", None, [1.0], 10**400)
+
+
+@settings(deadline=None, max_examples=200)
+@given(kind=st.sampled_from(["schedule", "matrix", "state"]), n=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1), bad=st.sampled_from(BAD_LEAVES), pick=st.integers(0, 10**6))
+def test_readers_refuse_one_bad_leaf_anywhere(kind, n, seed, bad, pick):
+    """One leaf that is not a JSON number, anywhere in a valid K, matrix or
+    state, is refused with the message of its array; an integer beyond
+    float range is refused as such."""
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    if kind == "schedule":
+        k = np.clip(m.real + m.real.T, -1.0, 1.0)
+        doc = schedule_to_obj(PulseSchedule(n=n, steps=(PulseStep(k=k, theta=1.0),) * 2))
+        idx = pick % 2
+        array, what, shape, read = doc["steps"][idx]["K"], f"step {idx}: K", f"{n}x{n}", schedule_from_obj
+    elif kind == "matrix":
+        doc = matrix_to_obj(m)
+        array, what, shape, read = doc["entries"], "'entries'", f"{n}x{n}x2", matrix_from_obj
+    else:
+        doc = state_to_obj(m[0] / np.linalg.norm(m[0]))
+        array, what, shape, read = doc["amplitudes"], "'amplitudes'", f"{n}x2", state_from_obj
+    rows = [array]
+    while isinstance(rows[0][0], list):
+        rows = [row for block in rows for row in block]
+    flat = pick // 2
+    rows[flat // len(rows[0]) % len(rows)][flat % len(rows[0])] = bad
+    message = "holds a number beyond float range" if bad == 10**400 else f"must be an array of numbers of shape {shape}"
+    with pytest.raises(ValueError, match=re.escape(f"{what} {message}")):
+        read(doc)
 
 
 def test_empty_schedule_round_trips():

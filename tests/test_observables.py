@@ -134,6 +134,13 @@ def test_protocol_rejects_non_integer_shots(shots):
         expectation_protocol(random_density(3, rng), random_observable_matrix(3, rng), shots=shots)
 
 
+@pytest.mark.parametrize("seed", [-1, 2.5])
+def test_protocol_refuses_bad_seed(seed):
+    rng = np.random.default_rng(926)
+    with pytest.raises(ValueError, match="seed must be None or a non-negative integer"):
+        expectation_protocol(random_density(3, rng), random_observable_matrix(3, rng), shots=100, seed=seed)
+
+
 def test_protocol_reports_numpy_integer_shots_as_int():
     rng = np.random.default_rng(925)
     rho = random_density(3, rng)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -212,6 +212,30 @@ def test_schedule_unitary_matches_dense_exponentials(schedule):
     for step in schedule.steps:
         u = expm_generator(step.theta, step.k) @ u
     np.testing.assert_allclose(schedule.unitary, u, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(n=st.integers(1, 32), seed=st.integers(0, 2**32 - 1),
+       kinds=st.lists(st.sampled_from(("diag", "pair", "dense")), min_size=1, max_size=6))
+def test_schedule_unitary_reads_signed_zeros_as_zeros(expm_calls, n, seed, kinds):
+    """-0.0 entries of K count as zeros: a diagonal or single-pair K holding
+    them still takes its closed form (a 1x1 K is diagonal), and the product
+    matches the dense exponentials to 1e-12 at the sizes of the linear
+    protocol's schedules."""
+    rng = np.random.default_rng(seed)
+    steps = []
+    for kind in kinds:
+        k = k_of_kind("diag" if n == 1 and kind == "pair" else kind, n, rng)
+        negative = np.triu(rng.random((n, n)) < 0.5)
+        steps.append(PulseStep(k=np.where((k == 0.0) & (negative | negative.T), -0.0, k),
+                               theta=rng.uniform(0.0, 10.0), label=kind))
+    before = expm_calls["expm_generator"]
+    u = PulseSchedule(n=n, steps=tuple(steps)).unitary
+    assert expm_calls["expm_generator"] - before == (kinds.count("dense") if n > 1 else 0)
+    want = np.eye(n, dtype=np.complex128)
+    for step in steps:
+        want = expm_generator(step.theta, step.k) @ want
+    np.testing.assert_allclose(u, want, rtol=0, atol=1e-12)
 
 
 def test_schedule_unitary_exponentiates_only_dense_steps(expm_calls):

@@ -292,6 +292,18 @@ def test_measure_bounds_shots_by_int64():
     assert record.shots == 2**63 - 1 and record.counts[2] == 2**63 - 1
 
 
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, "1", [1, 2]])
+def test_measure_refuses_bad_seed(seed):
+    """A seed is None or a non-negative integer, refused by name otherwise."""
+    with pytest.raises(ValueError, match="seed must be None or a non-negative integer"):
+        measure(uniform_state(3), shots=10, seed=seed)
+
+
+def test_measure_accepts_numpy_integer_seed():
+    assert np.array_equal(measure(uniform_state(3), shots=50, seed=np.uint32(4)).counts,
+                          measure(uniform_state(3), shots=50, seed=4).counts)
+
+
 def test_measurement_record_checks_totals():
     with pytest.raises(ValueError):
         MeasurementRecord(shots=10, counts=np.array([3, 3]), seed=None)

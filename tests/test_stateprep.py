@@ -47,6 +47,35 @@ def test_state_validation():
             SESState.basis(3, index)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("index", [1.5, True, False, np.float64(1.0), "1", None])
+def test_state_basis_refuses_non_integer_index(index):
+    """A float, a bool or a string is no basis index, even one equal to an integer."""
+    with pytest.raises(ValueError, match="basis index must be an integer"):
+        SESState.basis(3, index)
+
+
+def test_state_basis_accepts_numpy_integer_index():
+    assert np.array_equal(SESState.basis(3, np.int64(2)).amplitudes, [0, 0, 1])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("make", [SESState, SESState.normalized])
+@pytest.mark.parametrize("amps", [np.eye(2), np.full((2, 2), 0.5), np.ones((1, 1, 1)), np.zeros((2, 0))])
+def test_state_refuses_matrices(make, amps):
+    """Only a vector, a row or a column is a state; a matrix is not flattened."""
+    with pytest.raises(ValueError, match="amplitudes must be a row or column vector"):
+        make(amps)
+
+
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (3, 1)])
+def test_state_accepts_rows_and_columns(shape):
+    a = np.array([0.6, 0.0, 0.8j]).reshape(shape)
+    for state in (SESState(a), SESState.normalized(2.0 * a)):
+        assert state.amplitudes.shape == (3,)
+        np.testing.assert_allclose(state.amplitudes, [0.6, 0.0, 0.8j], rtol=1e-15)
+
+
 def test_state_properties():
     s = SESState.normalized([1.0, -1j])
     np.testing.assert_allclose(s.weights, [0.5, 0.5])
@@ -333,8 +362,8 @@ def test_three_step_prepare_checks_emitted_schedule(monkeypatch):
 
     aba_steps = sesqc.stateprep._aba_steps
 
-    def corrupted(a, b, device):
-        steps = aba_steps(a, b, device)
+    def corrupted(a, b):
+        steps = aba_steps(a, b)
         steps[1] = PulseStep(k=steps[1].k, theta=steps[1].theta + 0.1, label=steps[1].label)
         return steps
 
